@@ -217,7 +217,7 @@ type Config struct {
 	prunedHook func(recipient model.CenterID, w model.WorkerID,
 		baseWS []model.WorkerID, leftTasks []model.TaskID, assigned int)
 	// members restricts the game to a subset of centers — the sharded
-	// engine's phase-A games (shard.go). Only member centers are initialized,
+	// engine's group games (groups.go). Only member centers are initialized,
 	// selected as recipients or allowed to lend; TraceStep.Rhos/Assigned/
 	// Unfairness/Phi switch to shard-local semantics (the member-ordered ρ
 	// vector and the members' assigned total). Nil means every center plays
@@ -225,11 +225,11 @@ type Config struct {
 	members []model.CenterID
 	// poolMask/poolBit gate pool admission per worker: with a non-nil mask a
 	// worker enters the pool only when poolMask[w] == poolBit — the sharded
-	// engine passes each worker's shard-membership bitset and the shard's own
-	// bit, so exactly the shard-exclusive workers circulate in phase A while
-	// boundary workers wait for the reconcile game. The gate covers both the
-	// initial LeftWorkers admission and own workers returning to the pool
-	// after an accepted reassignment.
+	// engine passes the group label of each worker's home center and the
+	// game's own group label, so a group game circulates only the workers
+	// homed in its group. The gate covers both the initial LeftWorkers
+	// admission and own workers returning to the pool after an accepted
+	// reassignment.
 	poolMask []uint64
 	poolBit  uint64
 	// resume seeds the game from a mid-dynamics state instead of a fresh

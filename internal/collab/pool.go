@@ -38,10 +38,11 @@ type workerPool struct {
 	items []index.Item
 	cands []model.WorkerID
 	// mask/maskBit, when mask is non-nil, gate admission: add is a no-op
-	// unless mask[w] == maskBit. The sharded engine (shard.go) installs each
-	// worker's shard-membership bitset and the shard's own bit, so a phase-A
-	// pool only ever circulates its shard-exclusive workers — including own
-	// workers freed by an accepted reassignment, which route through add too.
+	// unless mask[w] == maskBit. The sharded engine (groups.go) installs the
+	// group label of each worker's home center and the game's own label, so
+	// a group game's pool only ever circulates its group's workers —
+	// including own workers freed by an accepted reassignment, which route
+	// through add too.
 	mask    []uint64
 	maskBit uint64
 }

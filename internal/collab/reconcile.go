@@ -1,9 +1,9 @@
 package collab
 
-// Component-parallel boundary reconcile (DESIGN.md §16). The serialized
-// exchange game of §15 is the Amdahl bottleneck of the sharded engine: phase
-// A scales with the shard count, phase B ran on one goroutine regardless.
-// This file removes the bottleneck for disconnected conflict graphs.
+// Component-parallel boundary reconcile (DESIGN.md §16). Phase B of the
+// sharded engine — the exchange game of §15 — is played as one group game
+// per connected component of the shard conflict graph (groups.go), so it
+// scales with the component count instead of running on one goroutine.
 //
 // The key fact is confinement: the interference masks are built from the
 // admission-slack bound — the same physics the pruning engine trusts — over
@@ -12,32 +12,18 @@ package collab
 // of a worker's shard bits lie inside one connected component of the
 // conflict graph, and a best-response scan by a component-K recipient can
 // never accept (or even find improving) a worker homed outside K. The
-// serialized exchange therefore factors into independent per-component
-// subgames, and the global min-(ρ, center ID) recipient rule makes the
-// serialized sequence exactly the deterministic interleave of the component
-// sequences — the same replay argument mergeIndependent proves for the
-// empty-cut case, applied one level up. Components run concurrently under
-// ShardParallelism; the merge below reconstructs the serialized trace,
-// transfer log and routes bit-for-bit (diagnostics counters aside).
+// exchange game therefore factors into independent per-component subgames,
+// and the global min-(ρ, center ID) recipient rule makes its sequence
+// exactly the deterministic interleave of the component sequences — the
+// same replay argument as the empty-cut phase-A merge, applied one level
+// up. The exchange game itself is the one-component case.
 //
 // Greedy coloring of the conflict graph (greedyColorShards) feeds the
 // telemetry gauge and the autotune cost model: within one color class
 // shards are pairwise non-adjacent, so a low chromatic number certifies a
 // sparse cut whose components stay small — the regime where this path wins.
 
-import (
-	"math/bits"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-
-	"imtao/internal/assign"
-	"imtao/internal/metrics"
-	"imtao/internal/model"
-	"imtao/internal/provenance"
-	"imtao/internal/slab"
-)
+import "math/bits"
 
 // shardComponents labels each shard with its connected component in the
 // conflict graph. Components are numbered by first appearance in shard
@@ -96,257 +82,4 @@ func greedyColorShards(adj *[64]uint64, nShards int) ([]int, int) {
 		}
 	}
 	return colors, nColors
-}
-
-// reconcileComponents plays the boundary exchange game per conflict
-// component concurrently and merges the outcomes into the exact serialized
-// exchange result. merged/memo/priorTransfers are the phase-A merge
-// products RunSharded builds for the serialized game; the returned Result
-// is shaped like that game's Finish — full routes, full transfer log
-// (prior + new), and a trace holding only the exchange steps — so the
-// caller's report/trace assembly is path-independent.
-func reconcileComponents(in *model.Instance, cfg ShardConfig, shardOf, compOf []int,
-	nComp int, merged []assign.Result, memo []map[model.WorkerID]assign.Result,
-	priorTransfers []model.Transfer) Result {
-
-	n := len(in.Centers)
-	members := make([][]model.CenterID, nComp)
-	for ci := range in.Centers {
-		k := compOf[shardOf[ci]]
-		members[k] = append(members[k], model.CenterID(ci))
-	}
-	// Pool gate: a worker belongs to the component of its home shard — by
-	// confinement the only component whose pool it can ever circulate in.
-	compMask := make([]uint64, len(in.Workers))
-	for w := range compMask {
-		compMask[w] = uint64(compOf[shardOf[in.Workers[w].Home]])
-	}
-	// Phase-A transfers are intra-shard (shard games move workers between
-	// their own members only), so each prior transfer replays in exactly one
-	// component's resume; order within a component follows the global
-	// concatenation order.
-	compTransfers := make([][]model.Transfer, nComp)
-	for _, tr := range priorTransfers {
-		k := compOf[shardOf[tr.Dst]]
-		compTransfers[k] = append(compTransfers[k], tr)
-	}
-	// Per-component memo views: fresh arrays so concurrent games never
-	// share mutable slots; the maps themselves are read/invalidated only by
-	// the owning component's game (memo[ci] belongs to ci's shard's comp).
-	compMemo := make([][]map[model.WorkerID]assign.Result, nComp)
-	for k := 0; k < nComp; k++ {
-		cm := make([]map[model.WorkerID]assign.Result, n)
-		for _, ci := range members[k] {
-			cm[ci] = memo[ci]
-		}
-		compMemo[k] = cm
-	}
-
-	compPar := cfg.ShardParallelism
-	if compPar <= 0 {
-		compPar = runtime.GOMAXPROCS(0)
-	}
-	if compPar > nComp {
-		compPar = nComp
-	}
-	innerPar := cfg.Parallelism
-	if compPar > 1 {
-		innerPar = 1
-	}
-
-	// One exchange subgame per component, resumed from the merged states,
-	// restricted to the component's centers and (via the pool gate) its
-	// workers. Fixed result slots keep the merge deterministic at every
-	// parallelism.
-	games := make([]*Game, nComp)
-	solus := make([]Result, nComp)
-	// Per-component provenance logs, created upfront in component order —
-	// the same determinism contract as the phase-A shard logs.
-	provLogs := make([]*provenance.GameLog, nComp)
-	if cfg.Ledger != nil {
-		for k := range provLogs {
-			provLogs[k] = cfg.Ledger.NewGameLog(provenance.StageExchange, k)
-		}
-	}
-	runComp := func(k int) {
-		bcfg := cfg.Config
-		bcfg.members = members[k]
-		bcfg.poolMask = compMask
-		bcfg.poolBit = uint64(k)
-		bcfg.Parallelism = innerPar
-		bcfg.Prov = provLogs[k]
-		bcfg.resume = &resumeState{transfers: compTransfers[k], memo: compMemo[k]}
-		g := NewGame(in, merged, bcfg)
-		for g.Step() {
-		}
-		solus[k] = g.Finish()
-		games[k] = g
-	}
-	if compPar <= 1 {
-		for k := 0; k < nComp; k++ {
-			runComp(k)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(compPar)
-		for w := 0; w < compPar; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1) - 1)
-					if k >= nComp {
-						return
-					}
-					runComp(k)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	return mergeExchange(in, cfg, merged, shardOf, compOf, games, solus, priorTransfers)
-}
-
-// mergeExchange interleaves the per-component exchange sequences into the
-// serialized exchange game's exact output. Structurally this is
-// mergeIndependent with components in place of shards and the merged
-// phase-A state in place of phase 1: real steps merge by the live global
-// min-(ρ, center ID), the global ρ vector/assigned total replay from
-// per-step deltas (component traces carry component-local Φ/U_ρ/Rhos —
-// recomputed globally here), stranded recipients synthesize their reject
-// steps in final-(ρ, id) order gated by union-pool liveness, and the
-// transfer log extends the prior log in merged step order.
-func mergeExchange(in *model.Instance, cfg ShardConfig, merged []assign.Result,
-	shardOf, compOf []int, games []*Game, solus []Result,
-	priorTransfers []model.Transfer) Result {
-
-	n := len(in.Centers)
-	nComp := len(games)
-
-	rho := make([]float64, n)
-	assignedTotal := 0
-	prevAssigned := make([]int, nComp)
-	for ci := range in.Centers {
-		a := countTasks(merged[ci].Routes)
-		rho[ci] = metrics.Ratio(a, len(in.Centers[ci].Tasks))
-		assignedTotal += a
-		prevAssigned[compOf[shardOf[ci]]] += a
-	}
-
-	// Stranded recipients of each component, ordered by their FINAL ρ (the
-	// component pool died under them; their ratio never moves again).
-	stranded := make([][]model.CenterID, nComp)
-	for k := 0; k < nComp; k++ {
-		stranded[k] = append(stranded[k], games[k].recipients...)
-		fin := games[k].rhoVec
-		sort.Slice(stranded[k], func(i, j int) bool {
-			a, b := stranded[k][i], stranded[k][j]
-			if fin[a] != fin[b] {
-				return fin[a] < fin[b]
-			}
-			return a < b
-		})
-	}
-
-	pos := make([]int, nComp)
-	spos := make([]int, nComp)
-	poolLive := func() bool {
-		for k := 0; k < nComp; k++ {
-			if pos[k] < len(solus[k].Trace) || games[k].pool.len() > 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	totalSteps := 0
-	for k := 0; k < nComp; k++ {
-		totalSteps += len(solus[k].Trace) + len(stranded[k])
-	}
-	trace := make([]TraceStep, 0, totalSteps)
-	newTransfers := make([]model.Transfer, 0, totalSteps)
-	var rhos slab.Arena[float64]
-	rhos.Reserve(totalSteps * n)
-	for {
-		best, bestSynth := -1, false
-		var bestR model.CenterID
-		for k := 0; k < nComp; k++ {
-			var r model.CenterID
-			var synth bool
-			switch {
-			case pos[k] < len(solus[k].Trace):
-				r = solus[k].Trace[pos[k]].Recipient
-			case spos[k] < len(stranded[k]):
-				r, synth = stranded[k][spos[k]], true
-			default:
-				continue
-			}
-			if best < 0 || rho[r] < rho[bestR] || (rho[r] == rho[bestR] && r < bestR) {
-				best, bestR, bestSynth = k, r, synth
-			}
-		}
-		if best < 0 {
-			break
-		}
-		var step TraceStep
-		if bestSynth {
-			if !poolLive() {
-				break
-			}
-			spos[best]++
-			step = TraceStep{Recipient: bestR, Accepted: false,
-				RhoBefore: rho[bestR], RhoAfter: rho[bestR]}
-		} else {
-			step = solus[best].Trace[pos[best]]
-			pos[best]++
-			assignedTotal += step.Assigned - prevAssigned[best]
-			prevAssigned[best] = step.Assigned
-			rho[step.Recipient] = step.RhoAfter
-			if step.Accepted {
-				newTransfers = append(newTransfers,
-					model.Transfer{Src: step.Source, Dst: step.Recipient, Worker: step.Worker})
-			}
-		}
-		rv := rhos.Copy(rho)
-		step.Iteration = len(trace) + 1
-		step.Assigned = assignedTotal
-		step.Rhos = rv
-		step.Unfairness = metrics.Unfairness(rv)
-		step.Phi = metrics.Phi(rv)
-		trace = append(trace, step)
-	}
-
-	if len(trace) == 0 {
-		trace = nil
-	}
-
-	sol := model.NewSolution(in)
-	for ci := range in.Centers {
-		sol.PerCenter[ci].Routes = solus[compOf[shardOf[ci]]].Solution.PerCenter[ci].Routes
-	}
-	// Nil-preserving concatenation: a run with no transfers at all must
-	// leave Transfers nil, exactly like the serialized game's Finish.
-	sol.Transfers = append(append([]model.Transfer(nil), priorTransfers...), newTransfers...)
-
-	res := Result{Solution: sol, Trace: trace, Iterations: len(trace)}
-	// Mirror Game.Finish's memo exposure: the component games' end-state
-	// caches merge per center (each center is cached by exactly one
-	// component). Note the serialized game may cache strictly more — under
-	// PruneOff its candidate lists span other components' pools — but every
-	// missing entry falls back to a fresh trial in VerifyEquilibrium.
-	if cfg.Scope != LeftoverOnly && !cfg.noMemo {
-		anyMemo := false
-		outMemo := make([]map[model.WorkerID]assign.Result, n)
-		for ci := range in.Centers {
-			if m := games[compOf[shardOf[ci]]].memo[ci]; m != nil {
-				outMemo[ci] = m
-				anyMemo = true
-			}
-		}
-		if anyMemo {
-			res.trialMemo = outMemo
-		}
-	}
-	return res
 }

@@ -8,6 +8,7 @@ import (
 	"imtao/internal/assign"
 	"imtao/internal/geo"
 	"imtao/internal/model"
+	"imtao/internal/provenance"
 	"imtao/internal/routing"
 )
 
@@ -60,13 +61,18 @@ func pairedBlobsInstance(rng *rand.Rand, pairs int) *model.Instance {
 	return in
 }
 
+// oneGroupCap is a MaxIterations far above any game's natural length: it
+// caps nothing, but a caller-set cap plays the boundary exchange as one
+// group — the single exchange game of DESIGN.md §15.
+const oneGroupCap = 1 << 30
+
 // TestReconcileComponentsBitIdentical is the property test of the
-// component-parallel reconcile (satellite of DESIGN.md §16): on non-empty
-// cuts whose conflict graph splits into several components, the concurrent
-// reconcile must reproduce the serialized PR 8 exchange bit-for-bit —
-// routes, transfer log (order included), iteration count, and the full
-// trace with its Φ segments — at every ShardParallelism, and the outcome
-// must still be a verified global Nash equilibrium.
+// component-parallel reconcile (DESIGN.md §16): on non-empty cuts whose
+// conflict graph splits into several components, the per-component games
+// must reproduce the one-group exchange game bit-for-bit — routes, transfer
+// log (order included), iteration count, and the full trace with its Φ
+// segments — at every ShardParallelism, and the outcome must still be a
+// verified global Nash equilibrium.
 func TestReconcileComponentsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	multiComp := 0
@@ -76,9 +82,9 @@ func TestReconcileComponentsBitIdentical(t *testing.T) {
 		p1 := phase1(in)
 		k := 2 * pairs
 
-		scfg := ShardConfig{Config: seqConfig(), Shards: k, Seed: 7}
-		scfg.serialReconcile = true
-		serial, srep := RunSharded(in, p1, scfg)
+		one := seqConfig()
+		one.MaxIterations = oneGroupCap
+		serial, srep := RunSharded(in, p1, ShardConfig{Config: one, Shards: k, Seed: 7})
 		if srep.EmptyCut {
 			t.Fatalf("trial %d: empty cut — instance not exercising the reconcile", trial)
 		}
@@ -95,7 +101,7 @@ func TestReconcileComponentsBitIdentical(t *testing.T) {
 					trial, par, rep.Components, rep.Colors, srep.Components, srep.Colors)
 			}
 			if !reflect.DeepEqual(got.Solution, serial.Solution) {
-				t.Fatalf("trial %d par=%d: solutions diverged from serialized exchange", trial, par)
+				t.Fatalf("trial %d par=%d: solutions diverged from the one-group exchange", trial, par)
 			}
 			if got.Iterations != serial.Iterations {
 				t.Fatalf("trial %d par=%d: iterations %d vs %d", trial, par, got.Iterations, serial.Iterations)
@@ -104,7 +110,7 @@ func TestReconcileComponentsBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(gt, st) {
 				for i := range gt {
 					if !reflect.DeepEqual(gt[i], st[i]) {
-						t.Fatalf("trial %d par=%d: traces diverge at step %d:\n  component: %+v\n  serialized: %+v",
+						t.Fatalf("trial %d par=%d: traces diverge at step %d:\n  component: %+v\n  one-group: %+v",
 							trial, par, i, gt[i], st[i])
 					}
 				}
@@ -127,6 +133,68 @@ func TestReconcileComponentsBitIdentical(t *testing.T) {
 	}
 	if multiComp == 0 {
 		t.Fatal("no trial produced a multi-component conflict graph — the concurrent merge never ran")
+	}
+}
+
+// TestOneGroupIsGlobalGame pins the group runner's degenerate case: one
+// group holding every center, with the pool gate admitting every worker,
+// interleaves into exactly the unsharded game — uncapped, and cut off by an
+// iteration cap with a live pool (which must strand nobody).
+func TestOneGroupIsGlobalGame(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	for trial := 0; trial < 6; trial++ {
+		in := randomInstance(rng, 4+rng.Intn(4), 20+rng.Intn(20), 40+rng.Intn(60))
+		p1 := phase1(in)
+		for _, m := range []int{0, 1, 3} {
+			cfg := ShardConfig{Config: seqConfig()}
+			cfg.MaxIterations = m
+			want := Run(in, p1, cfg.Config)
+			zero := make([]int, len(in.Centers))
+			games, solus, _ := playGroups(in, p1, zero, 1, cfg, provenance.StageGame, nil)
+			got := interleave(in, p1, zero, games, solus, nil, &cfg.Config)
+			if !reflect.DeepEqual(got.Solution, want.Solution) {
+				t.Fatalf("trial %d cap=%d: one-group solution diverged from Run", trial, m)
+			}
+			if !reflect.DeepEqual(stripEngineDiagnostics(got.Trace), stripEngineDiagnostics(want.Trace)) {
+				t.Fatalf("trial %d cap=%d: one-group trace diverged from Run (%d vs %d steps)",
+					trial, m, len(got.Trace), len(want.Trace))
+			}
+		}
+	}
+}
+
+// TestShardedCappedReconcile: a caller-set MaxIterations caps every phase-A
+// shard game and the one-group exchange game individually, and the capped
+// run still yields a feasible solution.
+func TestShardedCappedReconcile(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	conflicted := 0
+	for trial := 0; trial < 4; trial++ {
+		pairs := 2 + rng.Intn(2)
+		in := pairedBlobsInstance(rng, pairs)
+		p1 := phase1(in)
+		for _, m := range []int{1, 2, 5} {
+			cfg := seqConfig()
+			cfg.MaxIterations = m
+			got, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 2 * pairs, Seed: 7})
+			if !rep.EmptyCut {
+				conflicted++
+			}
+			if rep.ExchangeIterations > m {
+				t.Fatalf("trial %d m=%d: exchange ran %d iterations", trial, m, rep.ExchangeIterations)
+			}
+			for s, n := range rep.ShardIterations {
+				if n > m {
+					t.Fatalf("trial %d m=%d: shard %d ran %d iterations", trial, m, s, n)
+				}
+			}
+			if err := routing.SolutionFeasible(in, got.Solution); err != nil {
+				t.Fatalf("trial %d m=%d: %v", trial, m, err)
+			}
+		}
+	}
+	if conflicted == 0 {
+		t.Fatal("every cut was empty — the capped exchange game never ran")
 	}
 }
 

@@ -6,22 +6,17 @@ package collab
 // proves which workers can interact with which shards (the worker-overlap
 // interference graph), plays one best-response game per shard concurrently
 // over the home-shard workers, and reconciles the boundary workers with an
-// exchange game resumed from the merged shard states — run per conflict
-// component concurrently and replayed into the serialized order when the
-// conflict graph is disconnected (reconcile.go), as one serialized game
-// otherwise. The reconcile game runs the ordinary best-response dynamics to
-// a fixed point, so the final state is a global pure Nash equilibrium
-// (Result.VerifyEquilibrium); when the interference cut is empty the shard
-// games ARE the global game and RunSharded reconstructs the exact
-// reference sequence — routes, transfers and trace bit-identical to
-// Run/RunReference.
+// exchange game resumed from the merged shard states, played per conflict
+// component (reconcile.go). Both phases run through one group runner and
+// one interleave merge (groups.go). The exchange game runs the ordinary
+// best-response dynamics to a fixed point, so the final state is a global
+// pure Nash equilibrium (Result.VerifyEquilibrium); when the interference
+// cut is empty the shard games ARE the global game and RunSharded
+// reconstructs the exact reference sequence — routes, transfers and trace
+// bit-identical to Run/RunReference.
 
 import (
 	"math/bits"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"imtao/internal/assign"
@@ -31,7 +26,6 @@ import (
 	"imtao/internal/model"
 	"imtao/internal/obs"
 	"imtao/internal/provenance"
-	"imtao/internal/slab"
 	"imtao/internal/voronoi"
 )
 
@@ -88,27 +82,19 @@ type ShardConfig struct {
 	// the same seed always produces the same shard map.
 	Seed int64
 	// ShardParallelism bounds the goroutines playing phase-A shard games
-	// concurrently. 0 means GOMAXPROCS; 1 plays the shards serially. The
-	// output is bit-identical at every setting: each shard game is
-	// deterministic and the results are merged in shard order. When shard
+	// and phase-B component games concurrently. 0 means GOMAXPROCS; 1 plays
+	// them serially. The output is bit-identical at every setting: each game
+	// is deterministic and the results are merged in group order. When
 	// games run concurrently their inner trial parallelism is forced to 1.
-	// The same bound drives the component-parallel boundary reconcile
-	// (reconcile.go).
 	ShardParallelism int
 	// Ledger, when non-nil, receives the sharded run's full decision record:
 	// one game log per phase-A shard (in shard order), then one exchange log
-	// per reconcile component (in component order; a single serialized one
-	// under serialReconcile or a caller iteration cap). The deterministic
-	// log-creation order is what lets provenance.Replay re-derive the merge
-	// interleave from the recorded per-step ρ values alone. The fallback
-	// paths that run the unsharded engine record one global game log.
+	// per reconcile component (in component order; a single one under a
+	// caller iteration cap). The deterministic log-creation order is what
+	// lets provenance.Replay re-derive the merge interleave from the
+	// recorded per-step ρ values alone. The fallback path that runs the
+	// unsharded engine records one global game log.
 	Ledger *provenance.Ledger
-	// serialReconcile forces the single serialized exchange game of
-	// DESIGN.md §15 instead of the component-parallel reconcile. Test hook:
-	// the reconcile_test property suite pins the two paths bit-identical.
-	// MaxIterations > 0 implies it (per-component caps would diverge from
-	// the serialized game's single global cap).
-	serialReconcile bool
 }
 
 // ShardReport describes the partition and reconciliation work of one
@@ -153,9 +139,10 @@ type ShardReport struct {
 	// exchange-game steps, so these lengths segment it.
 	ShardIterations []int
 	ShardWall       []time.Duration
-	// ExchangeIterations and ExchangeTransfers are the serialized boundary
-	// reconcile game's iteration and accepted-dispatch counts (zero when the
-	// cut is empty — reconciliation is skipped entirely).
+	// ExchangeIterations and ExchangeTransfers are the boundary exchange
+	// game's iteration and accepted-dispatch counts, summed over its
+	// component games (zero when the cut is empty — reconciliation is
+	// skipped entirely).
 	ExchangeIterations int
 	ExchangeTransfers  int
 }
@@ -331,9 +318,9 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 
 // RunSharded executes the collaboration game through the region-sharded
 // engine: concurrent per-shard best-response dynamics over the
-// shard-exclusive workers, then a serialized exchange game that settles the
-// boundary workers and drives the merged state to a global Nash equilibrium.
-// The instance is not mutated.
+// shard-exclusive workers, then an exchange game that settles the boundary
+// workers and drives the merged state to a global Nash equilibrium. The
+// instance is not mutated.
 //
 // Determinism: the outcome is bit-identical across ShardParallelism
 // settings and repeated runs (deterministic assigners). When the
@@ -373,29 +360,32 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		}
 		k = 64
 	}
-	if k <= 1 || len(in.Centers) < 2 || !eligible {
-		if cfg.Ledger != nil {
-			cfg.Config.Prov = cfg.Ledger.NewGameLog(provenance.StageGame, -1)
-		}
-		res := Run(in, phase1, cfg.Config)
-		rep := singleShardReport(in, res)
-		rep.ShardsRequested = requested
-		rep.Auto = auto
-		return res, rep
+	var shardOf []int
+	nShards := 1
+	if k > 1 && len(in.Centers) >= 2 && eligible {
+		in.PrepareMetric()
+		in.EnsureHot()
+		shardOf, nShards = PlanShards(in, k, cfg.Seed)
 	}
-
-	in.PrepareMetric()
-	in.EnsureHot()
-	shardOf, nShards := PlanShards(in, k, cfg.Seed)
 	if nShards <= 1 {
+		// Unsharded fallback: one shard asked for, an ineligible method, or a
+		// partition that collapsed to one shard.
 		if cfg.Ledger != nil {
 			cfg.Config.Prov = cfg.Ledger.NewGameLog(provenance.StageGame, -1)
 		}
 		res := Run(in, phase1, cfg.Config)
-		rep := singleShardReport(in, res)
-		rep.ShardsRequested = requested
-		rep.Auto = auto
-		return res, rep
+		return res, ShardReport{
+			ShardsRequested: requested,
+			Shards:          1,
+			ShardOf:         make([]int, len(in.Centers)),
+			EmptyCut:        true,
+			Components:      1,
+			Colors:          1,
+			LoadSkew:        1,
+			Auto:            auto,
+			ShardIterations: []int{res.Iterations},
+			ShardWall:       []time.Duration{0},
+		}
 	}
 	inf := shardInterference(in, phase1, shardOf, cfg.Scope)
 	_, loadSkew := shardTaskLoads(in, shardOf, nShards)
@@ -406,95 +396,16 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	mShardLoadSkew.Set(loadSkew)
 	mShardColors.Set(float64(nColors))
 
-	members := make([][]model.CenterID, nShards)
-	for ci := range in.Centers {
-		s := shardOf[ci]
-		members[s] = append(members[s], model.CenterID(ci))
-	}
-	// Phase-A pools partition the poolable workers by HOME shard: every
-	// worker plays in exactly one shard's game, so the games' mutable state
-	// is disjoint and they run concurrently without coordination. When the
-	// interference cut is empty the home partition coincides with the
-	// interference masks (every poolable worker's mask is exactly its home
-	// bit), which is what makes the shard games provable restrictions of
-	// the global game; with a non-empty cut, boundary workers are settled
-	// tentatively in their home shard and re-contested by every admissible
-	// center in the exchange game.
-	homeMask := make([]uint64, len(in.Workers))
-	for w := range homeMask {
-		homeMask[w] = uint64(1) << shardOf[in.Workers[w].Home]
-	}
-
 	// Phase A: one restricted game per shard over its member centers and
-	// home-shard workers. Games are independent by construction — disjoint
-	// center sets, disjoint pools — so they run concurrently on a bounded
-	// pool, each with its own trial base, runners, scratch and arenas (the
-	// zero-alloc steady state holds per shard). Results land in fixed
-	// slots: the merge below is deterministic at every parallelism.
-	games := make([]*Game, nShards)
-	solus := make([]Result, nShards)
-	walls := make([]time.Duration, nShards)
-	// Per-shard provenance logs, created upfront in shard order so the
-	// ledger's log sequence is deterministic at every ShardParallelism.
-	provLogs := make([]*provenance.GameLog, nShards)
-	if cfg.Ledger != nil {
-		for s := range provLogs {
-			provLogs[s] = cfg.Ledger.NewGameLog(provenance.StageGame, s)
-		}
-	}
-	innerPar := cfg.Parallelism
-	shardPar := cfg.ShardParallelism
-	if shardPar <= 0 {
-		shardPar = runtime.GOMAXPROCS(0)
-	}
-	if shardPar > nShards {
-		shardPar = nShards
-	}
-	if shardPar > 1 {
-		innerPar = 1
-	}
-	runShard := func(s int) {
-		scfg := cfg.Config
-		scfg.members = members[s]
-		scfg.poolMask = homeMask
-		scfg.poolBit = uint64(1) << s
-		scfg.Parallelism = innerPar
-		scfg.Prov = provLogs[s]
-		t0 := time.Now()
-		g := NewGame(in, phase1, scfg)
-		for g.Step() {
-		}
-		solus[s] = g.Finish()
-		walls[s] = time.Since(t0)
-		games[s] = g
-		mShardGames.Inc()
-		mShardGameSeconds.ObserveDuration(walls[s])
-		for i := range solus[s].Trace {
-			mShardIterSeconds.ObserveDuration(solus[s].Trace[i].Duration)
-		}
-	}
-	if shardPar <= 1 {
-		for s := 0; s < nShards; s++ {
-			runShard(s)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(shardPar)
-		for g := 0; g < shardPar; g++ {
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1) - 1)
-					if s >= nShards {
-						return
-					}
-					runShard(s)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	// the poolable workers of its HOME shard: every worker plays in exactly
+	// one shard's game, so the games run concurrently without coordination.
+	// When the interference cut is empty the home partition coincides with
+	// the interference masks (every poolable worker's mask is exactly its
+	// home bit), which is what makes the shard games provable restrictions
+	// of the global game; with a non-empty cut, boundary workers are settled
+	// tentatively in their home shard and re-contested by every admissible
+	// center in phase B.
+	games, solus, walls := playGroups(in, phase1, shardOf, nShards, cfg, provenance.StageGame, nil)
 
 	rep := ShardReport{
 		ShardsRequested:  requested,
@@ -515,8 +426,11 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	for s := 0; s < nShards; s++ {
 		rep.ShardIterations[s] = solus[s].Iterations
 		wallSum += walls[s]
-		if walls[s] > wallMax {
-			wallMax = walls[s]
+		wallMax = max(wallMax, walls[s])
+		mShardGames.Inc()
+		mShardGameSeconds.ObserveDuration(walls[s])
+		for i := range solus[s].Trace {
+			mShardIterSeconds.ObserveDuration(solus[s].Trace[i].Duration)
 		}
 	}
 	if wallSum > 0 {
@@ -525,9 +439,9 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 
 	if rep.EmptyCut {
 		// No worker can touch two shards: the shard games are exactly the
-		// global game's per-shard subsequences, and interleaving them by
-		// the global min-ρ rule reconstructs the reference run verbatim.
-		return mergeIndependent(in, phase1, shardOf, games, solus, cfg.noMemo), rep
+		// global game's per-shard subsequences, and interleaving them
+		// reconstructs the reference run verbatim.
+		return interleave(in, phase1, shardOf, games, solus, nil, &cfg.Config), rep
 	}
 
 	// Phase B: boundary reconciliation. The exchange game is the ordinary
@@ -539,19 +453,23 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	// cross-shard candidates cost fresh trials. The dynamics terminates at a
 	// state with no improving transfer anywhere: a global Nash equilibrium.
 	//
-	// When the conflict graph splits into several components, the exchange
-	// decomposes: admissibility confines every worker's exchange-time moves
-	// to one component, so the per-component games run concurrently and a
-	// min-(ρ, id) replay reconstructs the serialized sequence bit-for-bit
-	// (reconcile.go, DESIGN.md §16). One component — or a caller-set
-	// MaxIterations, whose global cap has no per-component equivalent —
-	// keeps the single serialized game below.
+	// It is played as one group game per conflict component: admissibility
+	// confines every worker's exchange-time moves to one component, so the
+	// component games run concurrently and their interleave is the single
+	// exchange game bit-for-bit (reconcile.go, DESIGN.md §16). A caller-set
+	// MaxIterations, whose global cap has no per-component equivalent, plays
+	// every center in one group — the single exchange game itself.
 	merged := make([]assign.Result, len(in.Centers))
-	var priorTransfers []model.Transfer
+	var prior []model.Transfer
 	for s := 0; s < nShards; s++ {
-		priorTransfers = append(priorTransfers, solus[s].Solution.Transfers...)
+		prior = append(prior, solus[s].Solution.Transfers...)
 	}
 	memo := make([]map[model.WorkerID]assign.Result, len(in.Centers))
+	groupOf := make([]int, len(in.Centers))
+	nGroups := 1
+	if cfg.MaxIterations <= 0 {
+		nGroups = nComp
+	}
 	for ci := range in.Centers {
 		g := games[shardOf[ci]]
 		st := &g.states[ci]
@@ -567,202 +485,33 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		}
 		merged[ci] = assign.Result{Routes: st.routes, LeftTasks: st.leftTasks, LeftWorkers: lws}
 		memo[ci] = g.memo[ci]
-	}
-	var resB Result
-	if nComp > 1 && !cfg.serialReconcile && cfg.MaxIterations <= 0 {
-		resB = reconcileComponents(in, cfg, shardOf, compOf, nComp, merged, memo, priorTransfers)
-	} else {
-		bcfg := cfg.Config
-		bcfg.resume = &resumeState{transfers: priorTransfers, memo: memo}
-		if cfg.Ledger != nil {
-			bcfg.Prov = cfg.Ledger.NewGameLog(provenance.StageExchange, 0)
+		if nGroups > 1 {
+			groupOf[ci] = compOf[shardOf[ci]]
 		}
-		gB := NewGame(in, merged, bcfg)
-		for gB.Step() {
-		}
-		resB = gB.Finish()
 	}
+	gamesB, solusB, _ := playGroups(in, merged, groupOf, nGroups, cfg, provenance.StageExchange,
+		&resumeState{transfers: prior, memo: memo})
+	resB := interleave(in, merged, groupOf, gamesB, solusB, prior, &cfg.Config)
 	rep.ExchangeIterations = resB.Iterations
-	rep.ExchangeTransfers = len(resB.Solution.Transfers) - len(priorTransfers)
+	rep.ExchangeTransfers = len(resB.Solution.Transfers) - len(prior)
 	mExchangeIters.Add(int64(rep.ExchangeIterations))
 	mExchangeTransfers.Add(int64(rep.ExchangeTransfers))
 
 	// Final trace: shard traces in shard order (shard-local ρ/Φ semantics),
 	// then the exchange steps (global semantics), renumbered consecutively.
-	total := rep.ExchangeIterations
-	for s := 0; s < nShards; s++ {
-		total += solus[s].Iterations
+	total := len(resB.Trace)
+	for _, n := range rep.ShardIterations {
+		total += n
 	}
 	trace := make([]TraceStep, 0, total)
 	for s := 0; s < nShards; s++ {
-		for i := range solus[s].Trace {
-			step := solus[s].Trace[i]
-			step.Iteration = len(trace) + 1
-			trace = append(trace, step)
-		}
+		trace = append(trace, solus[s].Trace...)
 	}
-	for i := range resB.Trace {
-		step := resB.Trace[i]
-		step.Iteration = len(trace) + 1
-		trace = append(trace, step)
+	trace = append(trace, resB.Trace...)
+	for i := range trace {
+		trace[i].Iteration = i + 1
 	}
 	resB.Trace = trace
 	resB.Iterations = len(trace)
 	return resB, rep
-}
-
-// singleShardReport wraps an unsharded result as a one-shard report — the
-// fallback path of RunSharded.
-func singleShardReport(in *model.Instance, res Result) ShardReport {
-	return ShardReport{
-		Shards:          1,
-		ShardOf:         make([]int, len(in.Centers)),
-		EmptyCut:        true,
-		Components:      1,
-		Colors:          1,
-		LoadSkew:        1,
-		ShardIterations: []int{res.Iterations},
-		ShardWall:       []time.Duration{0},
-	}
-}
-
-// mergeIndependent reconstructs the global game from independent shard
-// games (empty interference cut). Every global iteration happens at the
-// min-ρ recipient; with an empty cut that recipient's candidates, trials
-// and state updates are exactly its shard game's next step, so a merge by
-// (ρ, center ID) — the MinRatioCenter rule — replays the global sequence
-// verbatim. Centers stranded by an exhausted shard pool (recipients whose
-// shard game ended with no step for them) reject with an empty candidate
-// list in the global game; those steps are synthesized here, and the merge
-// stops where the global game would — when the union pool is empty.
-func mergeIndependent(in *model.Instance, phase1 []assign.Result, shardOf []int,
-	games []*Game, solus []Result, noMemo bool) Result {
-
-	n := len(in.Centers)
-	nShards := len(games)
-
-	// Global state replay: the ρ vector and assigned total evolve exactly
-	// as in the reference loop, driven by the shard steps' deltas.
-	rho := make([]float64, n)
-	assignedTotal := 0
-	prevAssigned := make([]int, nShards)
-	for ci := range in.Centers {
-		a := countTasks(phase1[ci].Routes)
-		rho[ci] = metrics.Ratio(a, len(in.Centers[ci].Tasks))
-		assignedTotal += a
-		prevAssigned[shardOf[ci]] += a
-	}
-
-	// Stranded recipients: still in their shard game's recipient set at its
-	// end (the shard pool ran dry first). The global game rejects each in
-	// (ρ, ID) order interleaved with the remaining real steps — their ρ is
-	// final, so the order within a shard is fixed now. Sort by the shard
-	// game's FINAL ρ (games[s].rhoVec), not the phase-1 value: a stranded
-	// recipient that accepted dispatches before its pool died carries its
-	// raised ratio into the remaining global order.
-	stranded := make([][]model.CenterID, nShards)
-	for s := 0; s < nShards; s++ {
-		stranded[s] = append(stranded[s], games[s].recipients...)
-		fin := games[s].rhoVec
-		sort.Slice(stranded[s], func(i, j int) bool {
-			a, b := stranded[s][i], stranded[s][j]
-			if fin[a] != fin[b] {
-				return fin[a] < fin[b]
-			}
-			return a < b
-		})
-	}
-
-	// poolLive reports whether the union pool still has a worker: some shard
-	// either has real steps pending (its pool was live at that local time)
-	// or finished with a non-empty pool. Once false, the global game is
-	// over — stranded recipients past that point never reject.
-	pos := make([]int, nShards)
-	spos := make([]int, nShards)
-	poolLive := func() bool {
-		for s := 0; s < nShards; s++ {
-			if pos[s] < len(solus[s].Trace) || games[s].pool.len() > 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	totalSteps := 0
-	for s := 0; s < nShards; s++ {
-		totalSteps += len(solus[s].Trace) + len(stranded[s])
-	}
-	trace := make([]TraceStep, 0, totalSteps)
-	var transfers []model.Transfer
-	var rhos slab.Arena[float64]
-	rhos.Reserve(totalSteps * n)
-	for {
-		best, bestSynth := -1, false
-		var bestR model.CenterID
-		for s := 0; s < nShards; s++ {
-			var r model.CenterID
-			var synth bool
-			switch {
-			case pos[s] < len(solus[s].Trace):
-				r = solus[s].Trace[pos[s]].Recipient
-			case spos[s] < len(stranded[s]):
-				r, synth = stranded[s][spos[s]], true
-			default:
-				continue
-			}
-			if best < 0 || rho[r] < rho[bestR] || (rho[r] == rho[bestR] && r < bestR) {
-				best, bestR, bestSynth = s, r, synth
-			}
-		}
-		if best < 0 {
-			break
-		}
-		var step TraceStep
-		if bestSynth {
-			if !poolLive() {
-				break
-			}
-			spos[best]++
-			step = TraceStep{Recipient: bestR, Accepted: false,
-				RhoBefore: rho[bestR], RhoAfter: rho[bestR]}
-		} else {
-			step = solus[best].Trace[pos[best]]
-			pos[best]++
-			assignedTotal += step.Assigned - prevAssigned[best]
-			prevAssigned[best] = step.Assigned
-			rho[step.Recipient] = step.RhoAfter
-			if step.Accepted {
-				transfers = append(transfers,
-					model.Transfer{Src: step.Source, Dst: step.Recipient, Worker: step.Worker})
-			}
-		}
-		rv := rhos.Copy(rho)
-		step.Iteration = len(trace) + 1
-		step.Assigned = assignedTotal
-		step.Rhos = rv
-		step.Unfairness = metrics.Unfairness(rv)
-		step.Phi = metrics.Phi(rv)
-		trace = append(trace, step)
-	}
-
-	sol := model.NewSolution(in)
-	for ci := range in.Centers {
-		sol.PerCenter[ci].Routes = solus[shardOf[ci]].Solution.PerCenter[ci].Routes
-	}
-	sol.Transfers = transfers
-	res := Result{Solution: sol, Trace: trace, Iterations: len(trace)}
-	if !noMemo {
-		anyMemo := false
-		memo := make([]map[model.WorkerID]assign.Result, n)
-		for ci := range in.Centers {
-			if m := games[shardOf[ci]].memo[ci]; m != nil {
-				memo[ci] = m
-				anyMemo = true
-			}
-		}
-		if anyMemo {
-			res.trialMemo = memo
-		}
-	}
-	return res
 }

@@ -176,7 +176,9 @@ func TestShardedConflictedEquilibrium(t *testing.T) {
 // TestShardedDCScope: the leftover-only (DC) scope runs through the sharded
 // engine too — phase A dispatches leftovers within each home shard, the
 // exchange game finishes globally — deterministically and without ever
-// losing tasks versus no collaboration.
+// losing tasks versus no collaboration. The run's own equilibrium verdict
+// must match the package verifier's: a DC trial is not the verifier's
+// deviation, so no DC run may carry a trial cache into it.
 func TestShardedDCScope(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 6; trial++ {
@@ -194,6 +196,14 @@ func TestShardedDCScope(t *testing.T) {
 		again, _ := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 3, Seed: 5})
 		if !reflect.DeepEqual(got.Solution, again.Solution) {
 			t.Fatalf("trial %d: DC sharded run not deterministic", trial)
+		}
+		for _, k := range []int{2, 3} {
+			res, _ := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: k, Seed: 5})
+			own := res.VerifyEquilibrium(in, nil)
+			pkg := VerifyEquilibrium(in, res.Solution, nil)
+			if (own == nil) != (pkg == nil) {
+				t.Fatalf("trial %d shards=%d: verdicts disagree: result %v, package %v", trial, k, own, pkg)
+			}
 		}
 	}
 }

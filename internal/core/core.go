@@ -373,6 +373,9 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 	}
 	prepTS := tr.Start(runTS.ID(), "prepare_metric")
 	in.PrepareMetric()
+	// Build the hot slab once, before the phase-1 fan-out: every assigner
+	// calls EnsureHot, and concurrent first calls would race on in.hot.
+	in.EnsureHot()
 	if pc, ok := in.Metric.(interface{ PrecomputeSources([]geo.Point) }); ok {
 		locs := make([]geo.Point, len(in.Centers))
 		for i := range in.Centers {

@@ -115,6 +115,27 @@ func TestProvenanceReplayCappedRun(t *testing.T) {
 	assertReplayMatches(t, rep)
 }
 
+// TestProvenanceReplayCappedSharded: a capped sharded run — each phase-A
+// shard game and the one-group exchange game cut off by MaxGameIterations —
+// must still replay exactly from its ledger.
+func TestProvenanceReplayCappedSharded(t *testing.T) {
+	for _, ck := range []CollabKind{BDC, DC} {
+		for _, capN := range []int{1, 5} {
+			in := provInstance(t, nil)
+			cfg := Config{Method: Method{Seq, ck}, Seed: 5, Shards: 4,
+				MaxGameIterations: capN, Prov: provenance.NewLedger()}
+			rep, err := Run(in, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Shard == nil || rep.Shard.EmptyCut {
+				t.Fatalf("%v cap=%d: no exchange game — run not exercising the capped reconcile", cfg.Method, capN)
+			}
+			assertReplayMatches(t, rep)
+		}
+	}
+}
+
 func assertReplayMatches(t *testing.T, rep *Report) {
 	t.Helper()
 	l := rep.Provenance

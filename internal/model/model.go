@@ -246,7 +246,12 @@ func (in *Instance) TravelTime(a, b geo.Point) float64 {
 func (in *Instance) PrepareMetric() {
 	nm, ok := in.Metric.(NodeMetric)
 	if !ok {
-		in.prep = nil
+		// Write only when there is something to clear: concurrent games on
+		// one instance all call PrepareMetric, and an unconditional store
+		// would race with their reads.
+		if in.prep != nil {
+			in.prep = nil
+		}
 		return
 	}
 	if p := in.prep; p != nil && p.nm == nm &&

@@ -31,13 +31,13 @@ type ReplayResult struct {
 //     the live min-(ρ, center ID) recipient rule — which the ledger
 //     re-derives from each step's recorded RhoBefore, since every center's
 //     steps live in exactly one log and its recorded ρ IS the live ρ at
-//     that step (mergeIndependent's synthesized stranded rejects change no
-//     state and are safely absent);
+//     that step (the sharded merge's synthesized stranded rejects change
+//     no state and are safely absent);
 //   - game logs followed by exchange logs (sharded, non-empty cut) apply
 //     the game logs sequentially in shard order — reproducing the
 //     prior-transfer concatenation — then the exchange logs sequentially
-//     (serialized reconcile) or by the same min-(ρ, id) merge
-//     (component-parallel reconcile).
+//     (one exchange group) or by the same min-(ρ, id) merge (one group per
+//     conflict component).
 //
 // The returned solution fingerprints identically to the live Report's
 // (SolutionFingerprint) — the property the ledger's completeness is pinned
