@@ -82,13 +82,12 @@ type gamePreset struct {
 	SamplerSampleP99Ms float64 `json:"sampler_sample_p99_ms"`
 
 	// Engine work profile, summed over the trace. PruneRate is the fraction
-	// of candidate lookups eliminated before evaluation; ResumeRate the
+	// of pool candidates eliminated before evaluation; ResumeRate the
 	// fraction of evaluated trials served by prefix-resume (1.0 for the
 	// Sequential engine).
 	CandidatesPruned int64   `json:"candidates_pruned"`
 	TrialsEvaluated  int64   `json:"trials_evaluated"`
 	TrialsResumed    int64   `json:"trials_resumed"`
-	MemoHits         int64   `json:"memo_hits"`
 	PruneRate        float64 `json:"prune_rate"`
 	ResumeRate       float64 `json:"resume_rate"`
 	SnapshotBytes    int64   `json:"snapshot_bytes"`
@@ -258,10 +257,9 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			pr.CandidatesPruned += int64(step.Pruned)
 			pr.TrialsEvaluated += int64(step.Trials)
 			pr.TrialsResumed += int64(step.Resumed)
-			pr.MemoHits += int64(step.MemoHits)
 			iterQ.ObserveDuration(step.Duration)
 		}
-		lookups := pr.CandidatesPruned + pr.TrialsEvaluated + pr.MemoHits
+		lookups := pr.CandidatesPruned + pr.TrialsEvaluated
 		if lookups > 0 {
 			pr.PruneRate = float64(pr.CandidatesPruned) / float64(lookups)
 		}
@@ -288,7 +286,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			pr.HeapInuseBytes, pr.MemWindowIters = meterGameMemory(in, p1, ccfg, res.Iterations)
 
 		t0 = time.Now()
-		pr.EquilibriumOK = res.VerifyEquilibrium(in, nil) == nil
+		pr.EquilibriumOK = collab.VerifyEquilibrium(in, res.Solution, nil) == nil
 		verify := time.Since(t0)
 
 		// Provenance leg: identical game, ledger attached. Runs after the
@@ -437,11 +435,18 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 // mean allocations per iteration, mean allocated bytes per iteration, the
 // live heap at the end of the window, and the window length. The run is
 // untimed, so the sampling overhead never touches the reported wall-clocks.
+//
+// The game is metered on the serial engine (Parallelism 1) whatever the
+// timed run used: the zero-allocation guarantee covers the serial engine,
+// while the parallel one allocates its goroutine spawns by design (DESIGN.md
+// §13), so metering it would make allocs_per_iter depend on the host's CPU
+// count.
 func meterGameMemory(in *model.Instance, p1 []assign.Result, ccfg collab.Config,
 	totalIters int) (
 	allocsMedian, allocsMean, bytesMean float64, heapInuse int64, window int) {
 
 	ccfg.Tracer, ccfg.TraceParent, ccfg.Obs = nil, 0, nil
+	ccfg.Parallelism = 1
 	g := collab.NewGame(in, p1, ccfg)
 	defer g.Finish()
 	// The game length is known from the timed run: warm over the first

@@ -294,7 +294,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			}
 
 			t0 = time.Now()
-			pr.EquilibriumOK = res.VerifyEquilibrium(in, nil) == nil
+			pr.EquilibriumOK = collab.VerifyEquilibrium(in, res.Solution, nil) == nil
 			verify := time.Since(t0)
 
 			rec.Presets = append(rec.Presets, pr)

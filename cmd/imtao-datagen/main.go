@@ -1,10 +1,10 @@
 // Command imtao-datagen generates CMCTA datasets (paper §VI-A) and writes
-// them to JSON or CSV for later runs with imtao-sim -load.
+// them as JSON for later runs with imtao-sim -load.
 //
 // Usage:
 //
 //	imtao-datagen -dataset gm  -out gm.json
-//	imtao-datagen -dataset syn -tasks 800 -format csv -out syn800.csv
+//	imtao-datagen -dataset syn -tasks 800 -out syn800.json
 package main
 
 import (
@@ -27,7 +27,6 @@ func main() {
 		maxT    = flag.Int("maxt", 4, "worker capacity maxT")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		preset  = flag.String("preset", "", "preset instead of explicit counts: corridor, twincities, ringroad, hotspot, or a scale point like scale10k / scale100k / scale1m")
-		format  = flag.String("format", "json", "output format: json or csv")
 		out     = flag.String("out", "", "output file (default stdout)")
 	)
 	flag.Parse()
@@ -86,15 +85,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	switch *format {
-	case "json":
-		err = workload.WriteJSON(w, in)
-	case "csv":
-		err = workload.WriteCSV(w, in)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := workload.WriteJSON(w, in); err != nil {
 		fatal(err)
 	}
 	if *out != "" {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"imtao/internal/workload"
 )
 
 // The datagen CLI is exercised end to end through `go run`-style execution
@@ -41,23 +43,29 @@ func TestCLIGeneratesJSON(t *testing.T) {
 	}
 }
 
-func TestCLIPresetAndCSV(t *testing.T) {
+func TestCLIPreset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI build skipped with -short")
 	}
 	bin := buildCLI(t)
-	out := filepath.Join(t.TempDir(), "ring.csv")
+	out := filepath.Join(t.TempDir(), "ring.json")
 	cmd := exec.Command(bin, "-preset", "ringroad", "-tasks", "8", "-workers", "3",
-		"-centers", "2", "-format", "csv", "-out", out)
+		"-centers", "2", "-out", out)
 	if msg, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("run failed: %v\n%s", err, msg)
 	}
-	data, err := os.ReadFile(out)
+	f, err := os.Open(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(data), "kind,x,y") {
-		t.Fatalf("unexpected csv header: %.80s", data)
+	defer f.Close()
+	in, err := workload.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(in.Tasks) != 8 || len(in.Workers) != 3 || len(in.Centers) != 2 {
+		t.Fatalf("preset scene has %d tasks, %d workers, %d centers; want 8, 3, 2",
+			len(in.Tasks), len(in.Workers), len(in.Centers))
 	}
 }
 
@@ -69,7 +77,6 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-preset", "atlantis"},
 		{"-dataset", "nope"},
-		{"-format", "xml"},
 	} {
 		cmd := exec.Command(bin, args...)
 		if err := cmd.Run(); err == nil {

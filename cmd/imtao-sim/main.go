@@ -59,6 +59,42 @@ func main() {
 	flag.Parse()
 	setSimState("starting")
 
+	// The method and the instance are settled before anything is printed or
+	// started, so a bad flag or a malformed -load file fails without partial
+	// output.
+	m, err := imtao.ParseMethod(*method)
+	if err != nil {
+		fatal(err)
+	}
+
+	var raw *imtao.Instance
+	if *load != "" {
+		f, err := os.Open(*load)
+		if err != nil {
+			fatal(err)
+		}
+		raw, err = workload.ReadJSON(f)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		if err := raw.Validate(); err != nil {
+			fatal(err)
+		}
+	} else {
+		d, err := workload.ParseDataset(*dataset)
+		if err != nil {
+			fatal(err)
+		}
+		p := imtao.DefaultParams(d)
+		p.NumTasks, p.NumWorkers, p.NumCenters = *tasks, *workers, *centers
+		p.Expiry, p.MaxT, p.Seed = *expiry, *maxT, *seed
+		raw, err = imtao.Generate(p)
+		if err != nil {
+			fatal(err)
+		}
+	}
+
 	var recorder *imtao.FlightRecorder
 	if *flight > 0 {
 		recorder = imtao.NewFlightRecorder(*flight)
@@ -124,36 +160,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("diagnostics: http://%s/metrics and http://%s/debug/pprof/\n\n", addr, addr)
-	}
-
-	m, err := imtao.ParseMethod(*method)
-	if err != nil {
-		fatal(err)
-	}
-
-	var raw *imtao.Instance
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			fatal(err)
-		}
-		raw, err = workload.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		d, err := workload.ParseDataset(*dataset)
-		if err != nil {
-			fatal(err)
-		}
-		p := imtao.DefaultParams(d)
-		p.NumTasks, p.NumWorkers, p.NumCenters = *tasks, *workers, *centers
-		p.Expiry, p.MaxT, p.Seed = *expiry, *maxT, *seed
-		raw, err = imtao.Generate(p)
-		if err != nil {
-			fatal(err)
-		}
 	}
 
 	in, err := imtao.Partition(raw)

@@ -76,6 +76,35 @@ func TestSimLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSimLoadRejectsInvalidBeforeOutput loads a scene whose speed is zero:
+// the run must fail on validation before it prints anything, so stdout
+// carries neither the instance line nor the per-center partition table.
+func TestSimLoadRejectsInvalidBeforeOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build skipped with -short")
+	}
+	scene := filepath.Join(t.TempDir(), "scene.json")
+	doc := `{"speed":0,"bounds":[0,0,10,10],"centers":[[5,5]],` +
+		`"tasks":[{"x":1,"y":1,"expiry":1,"reward":1}],` +
+		`"workers":[{"x":2,"y":2,"maxT":2}]}`
+	if err := os.WriteFile(scene, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := buildSim(t)
+	cmd := exec.Command(bin, "-load", scene)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("invalid scene accepted:\n%s", stdout.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout not empty before the validation failure:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "speed must be positive") {
+		t.Errorf("stderr lacks the validation error: %q", stderr.String())
+	}
+}
+
 // TestSimTraceOut runs the binary with a non-.jsonl -trace-out and checks
 // the emitted file is a valid Chrome trace whose span tree (carried in the
 // events' span_id/parent_id args) contains the full pipeline hierarchy:

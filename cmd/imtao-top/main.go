@@ -107,7 +107,6 @@ var counterRows = []struct {
 }{
 	{"imtao_collab_iterations_total", "iterations"},
 	{"imtao_collab_trials_total", "trials"},
-	{"imtao_collab_memo_hits_total", "memo hits"},
 	{"imtao_collab_candidates_pruned_total", "pruned"},
 	{"imtao_roadnet_dijkstra_runs_total", "dijkstra runs"},
 	{"imtao_shard_games_total", "shard games"},

@@ -194,8 +194,8 @@ func WithOptBudget(d time.Duration) RunOption {
 
 // WithParallelism bounds the worker goroutines of the IMTAO pipeline:
 // phase-1 per-center assignment runs concurrently across centers, and
-// phase-2 best-response trials run concurrently within each game iteration
-// (with trial results memoized across iterations). The default, 0, uses
+// phase-2 best-response trials run concurrently within each game iteration.
+// The default, 0, uses
 // GOMAXPROCS; 1 forces the legacy serial pipeline. The output is
 // bit-identical at every setting — see DESIGN.md §8 for the determinism
 // contract.

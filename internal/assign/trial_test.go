@@ -140,7 +140,7 @@ func TestNewTrialBaseRejectsForeignRoutes(t *testing.T) {
 		t.Fatal("scene must produce at least one route")
 	}
 	// Routes referencing a worker outside the set cannot line up.
-	bad := cloneResultRoutes(res.Routes)
+	bad := deepCopyRoutes(res.Routes)
 	bad[0].Worker = 99
 	if _, ok := NewTrialBase(in, in.Center(0), ws, bad, res.LeftTasks); ok {
 		t.Fatal("NewTrialBase accepted routes for a foreign worker")
@@ -181,7 +181,7 @@ func TestAdmissionSlackPrunesExactly(t *testing.T) {
 	}
 }
 
-func cloneResultRoutes(rs []model.Route) []model.Route {
+func deepCopyRoutes(rs []model.Route) []model.Route {
 	out := make([]model.Route, len(rs))
 	for i, r := range rs {
 		out[i] = model.Route{Worker: r.Worker, Center: r.Center, Tasks: append([]model.TaskID(nil), r.Tasks...)}

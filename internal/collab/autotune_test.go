@@ -85,7 +85,7 @@ func TestShardAutoPicksFromLadder(t *testing.T) {
 	if err := routing.SolutionFeasible(in, got.Solution); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.VerifyEquilibrium(in, nil); err != nil {
+	if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -160,7 +160,7 @@ func TestShardClampSurfaced(t *testing.T) {
 	if fields["requested"] != 100 || fields["clamped"] != 64 {
 		t.Fatalf("shard_clamp fields = %v", fields)
 	}
-	if err := got.VerifyEquilibrium(in, nil); err != nil {
+	if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 		t.Fatal(err)
 	}
 

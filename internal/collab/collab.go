@@ -30,7 +30,7 @@
 // every per-iteration slice comes from recycled scratch, slab arenas or the
 // double-buffered per-center promotion buffers. RunReference (frozen.go) is
 // the preserved pre-engine loop; both produce bit-identical solutions and
-// traces (modulo the trial/memo/prune counters and Duration).
+// traces (modulo the trial/prune counters and Duration).
 package collab
 
 import (
@@ -58,15 +58,7 @@ var (
 	mRejections = obs.Default.Counter("imtao_collab_rejections_total",
 		"iterations ending with a center leaving the game")
 	mTrials = obs.Default.Counter("imtao_collab_trials_total",
-		"trial re-assignments evaluated (memo hits and pruned candidates excluded)")
-	mMemoHits = obs.Default.Counter("imtao_collab_memo_hits_total",
-		"trial results served from the cross-iteration cache; while the memo is "+
-			"enabled, memo_hits + memo_misses = candidate lookups, so the hit "+
-			"ratio is hits/(hits+misses)")
-	mMemoMisses = obs.Default.Counter("imtao_collab_memo_misses_total",
-		"trial lookups that missed the cache and were evaluated; complement of "+
-			"imtao_collab_memo_hits_total per lookup — neither counter moves "+
-			"when the memo is disabled")
+		"trial re-assignments evaluated (pruned candidates excluded)")
 	mPruned = obs.Default.Counter("imtao_collab_candidates_pruned_total",
 		"pool candidates skipped by admissibility pruning (their trials "+
 			"provably return the baseline assignment)")
@@ -183,11 +175,11 @@ type Config struct {
 	Parallelism int
 	// Prune selects admissibility pruning (DESIGN.md §11). The zero value
 	// PruneAuto prunes for the built-in Sequential assigner only; pruning
-	// never changes the solution or trace beyond the Trials/MemoHits/Pruned
+	// never changes the solution or trace beyond the Trials/Pruned
 	// counters.
 	Prune PruneMode
 	// Obs receives one "game_iter" event per iteration carrying the
-	// potential Φ, the full ρ vector, trial/memo/prune counts and the
+	// potential Φ, the full ρ vector, trial/prune counts and the
 	// iteration latency. Nil (or obs.Nop) disables emission; the TraceStep
 	// record is filled either way.
 	Obs obs.Observer
@@ -201,15 +193,11 @@ type Config struct {
 	TraceParent obs.SpanID
 	// Prov, when non-nil, records every iteration of this game into the
 	// provenance ledger's game log: recipient, candidate trials with their
-	// memo/full/resumed provenance, prune counts and admission slack,
+	// full/resumed provenance, prune counts and admission slack,
 	// Δρ/ΔΦ, and the accepted route delta. Nil (the default) keeps the
 	// disabled path at a single pointer check per iteration — the
 	// zero-allocation steady state is unchanged (alloc_test.go).
 	Prov *provenance.GameLog
-	// noMemo disables the cross-iteration trial cache. Test hook only: the
-	// cache is semantics-preserving for deterministic assigners, so there is
-	// no reason to expose it.
-	noMemo bool
 	// prunedHook, when non-nil, forces the exact (index-free) admissibility
 	// scan and observes every pruned candidate together with the recipient
 	// state needed to replay its full trial. Test hook backing the
@@ -232,22 +220,13 @@ type Config struct {
 	// reassignment.
 	poolMask []uint64
 	poolBit  uint64
-	// resume seeds the game from a mid-dynamics state instead of a fresh
-	// phase-1 one: prior transfers are replayed into the own/borrowed sets
-	// (and appended to the transfer log), and the per-center trial memos of
-	// the prior games are carried over. The caller asserts the input results
-	// describe each center's CURRENT routes/leftovers/unused-own-workers and
-	// that every memo entry was computed against that exact center state —
-	// the sharded engine's phase-B reconcile game satisfies both by
-	// construction (shard.go).
-	resume *resumeState
-}
-
-// resumeState carries a prior game's outcome into a resumed Game — see
-// Config.resume.
-type resumeState struct {
-	transfers []model.Transfer
-	memo      []map[model.WorkerID]assign.Result
+	// prior seeds the game from a mid-dynamics state instead of a fresh
+	// phase-1 one: the prior transfers are replayed into the own/borrowed
+	// sets (and appended to the transfer log). The caller asserts the input
+	// results describe each center's CURRENT routes/leftovers/unused-own-
+	// workers after those transfers — the sharded engine's phase-B reconcile
+	// game satisfies this by construction (shard.go).
+	prior []model.Transfer
 }
 
 // sequentialPtr identifies the built-in Sequential assigner by code pointer,
@@ -279,17 +258,18 @@ type TraceStep struct {
 	Phi float64
 	// Rhos is the full per-center ratio vector after the step.
 	Rhos []float64
-	// Trials counts the trial re-assignments evaluated this iteration;
-	// MemoHits counts candidates served from the cross-iteration cache
-	// instead.
-	Trials   int
+	// Trials counts the trial re-assignments evaluated this iteration: one
+	// per candidate left after pruning.
+	Trials int
+	// MemoHits is always 0. The engines keep no cross-iteration trial
+	// cache; the field remains only for callers that still read it.
 	MemoHits int
 	// Pruned counts pool candidates skipped this iteration by admissibility
 	// pruning — their trials provably return the baseline. Resumed counts
 	// evaluated trials served by the prefix-resume engine instead of a full
 	// re-assignment. Both are zero under RunReference; together with Trials
-	// and MemoHits they are diagnostics, not part of the cross-engine
-	// equivalence contract.
+	// they are diagnostics, not part of the cross-engine equivalence
+	// contract.
 	Pruned  int
 	Resumed int
 	// Duration is the iteration's wall-clock time. It is the one TraceStep
@@ -306,14 +286,6 @@ type Result struct {
 	// Iterations is the number of game iterations executed (accepted or
 	// rejected), matching η in Algorithm 3.
 	Iterations int
-	// trialMemo is the surviving (recipient, worker) → trial cache at game
-	// end. Every entry was computed against its center's final state (stale
-	// entries are dropped the moment a center's state changes), so the
-	// equilibrium check can reuse them verbatim — see
-	// Result.VerifyEquilibrium. Populated only for FullReassign runs; DC
-	// trials have different semantics than the verifier's. Pruned
-	// candidates have no entry; the verifier re-prunes them instead.
-	trialMemo []map[model.WorkerID]assign.Result
 }
 
 // NoCollaboration assembles the phase-1 results into a Solution without any
@@ -380,11 +352,11 @@ func (pb *promoBuf) promote(r *assign.Result) {
 	copy(pb.lws, r.LeftWorkers)
 }
 
-// centerState is one center's mutable game state. The former per-field maps
-// (own-worker set, trial memo keys) are ID-sorted slices maintained
-// incrementally, and accepted assignments live in the double-buffered
-// promotion slabs — one buffer holds the live state the current iteration's
-// trials alias, the other receives the accepted result, then they flip.
+// centerState is one center's mutable game state. The own-worker and
+// worker sets are ID-sorted slices maintained incrementally, and accepted
+// assignments live in the double-buffered promotion slabs — one buffer holds
+// the live state the current iteration's trials alias, the other receives
+// the accepted result, then they flip.
 type centerState struct {
 	routes    []model.Route
 	leftTasks []model.TaskID
@@ -438,7 +410,6 @@ type Game struct {
 	totalAssigned int
 	rhoVec        []float64
 	recipients    []model.CenterID
-	memo          []map[model.WorkerID]assign.Result
 	// members mirrors cfg.members (nil for the global game); memberRhos is
 	// the preallocated member-ordered ρ scratch the shard-local trace path
 	// fills each step before snapshotting it into the rhos arena.
@@ -455,9 +426,8 @@ type Game struct {
 	// buffers; the result is promoted into the center's buffers like an
 	// accepted trial.
 	seqScratch assign.SequentialScratch
-	// trials/missIdx are the per-iteration evaluation scratch.
-	trials  []assign.Result
-	missIdx []int
+	// trials is the per-iteration evaluation scratch.
+	trials []assign.Result
 	// rhos carves the per-step ρ-vector snapshots (TraceStep.Rhos) from one
 	// growing slab instead of one allocation per iteration. Never reset:
 	// the snapshots are part of the returned trace.
@@ -475,7 +445,7 @@ type Game struct {
 // its iteration trace. The instance is not mutated.
 //
 // This is the optimized engine: bit-identical to RunReference in solution,
-// transfers and trace (Trials/MemoHits/Pruned/Resumed and Duration aside),
+// transfers and trace (Trials/Pruned/Resumed and Duration aside),
 // but with admissibility pruning, prefix-resume trials, incremental
 // bookkeeping and recycled per-iteration memory — see DESIGN.md §11 and §13
 // for the architecture and the exactness arguments.
@@ -566,48 +536,19 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 		g.maxIter = len(in.Tasks) + n + 1
 	}
 
-	// memo caches trial re-assignment results per (recipient, worker). A
-	// trial depends only on the recipient's state (worker set, routes,
-	// leftover tasks) and the candidate, so an entry stays valid until the
-	// recipient's state changes: entries are stored only when a center
-	// leaves the game (its state is final from then on) and the per-center
-	// map is dropped when the center later lends one of its own workers out
-	// (its worker set shrinks). In the paper-exact dynamics every turn ends
-	// by either mutating the recipient (accept — nothing worth caching) or
-	// removing it from the game (reject — its final-state trials), so the
-	// cache cannot re-hit during Run itself with the built-in policies; it
-	// exists to carry each center's final-state trials out of the game,
-	// where Result.VerifyEquilibrium reuses them instead of re-running the
-	// assigner over the whole pool.
-	g.memo = make([]map[model.WorkerID]assign.Result, n)
-
-	if cfg.resume != nil {
-		// Replay the prior transfers into the worker-set bookkeeping: the
-		// input results already describe each center's current routes and
-		// unused own workers, so only the own/borrowed/workers sets (built
-		// above from the static center rosters) need the lends applied. The
-		// replayed transfers seed the transfer log so the final Solution
-		// carries the full history.
-		for _, tr := range cfg.resume.transfers {
-			src, dst := &g.states[tr.Src], &g.states[tr.Dst]
-			src.own = removeSortedID(src.own, tr.Worker)
-			src.workers = removeSortedID(src.workers, tr.Worker)
-			dst.borrowed = appendGrown(dst.borrowed, tr.Worker)
-			dst.workers = insertSortedID(dst.workers, tr.Worker)
-			g.pool.remove(tr.Worker)
-			g.transfers = append(g.transfers, tr)
-		}
-		// Carry the prior games' trial memos: every entry was computed
-		// against its center's current (resumed) state, so the usual
-		// invalidation rules — drop a center's map when it lends — keep
-		// working from here.
-		if cfg.resume.memo != nil && !cfg.noMemo {
-			for ci, m := range cfg.resume.memo {
-				if m != nil {
-					g.memo[ci] = m
-				}
-			}
-		}
+	// Replay the prior transfers into the worker-set bookkeeping: the input
+	// results already describe each center's current routes and unused own
+	// workers, so only the own/borrowed/workers sets (built above from the
+	// static center rosters) need the lends applied. The replayed transfers
+	// seed the transfer log so the final Solution carries the full history.
+	for _, tr := range cfg.prior {
+		src, dst := &g.states[tr.Src], &g.states[tr.Dst]
+		src.own = removeSortedID(src.own, tr.Worker)
+		src.workers = removeSortedID(src.workers, tr.Worker)
+		dst.borrowed = appendGrown(dst.borrowed, tr.Worker)
+		dst.workers = insertSortedID(dst.workers, tr.Worker)
+		g.pool.remove(tr.Worker)
+		g.transfers = append(g.transfers, tr)
 	}
 	return g
 }
@@ -733,7 +674,7 @@ func (g *Game) Step() bool {
 
 	// Line 14: best response — the candidate maximising the
 	// post-reassignment ratio. Line 15: evaluated via re-assignment.
-	// Trials are independent of each other, so cache misses are evaluated
+	// Trials are independent of each other, so they are evaluated
 	// concurrently into fixed slots; the winner is then picked by the same
 	// serial scan as the reference loop, keeping the output bit-identical.
 	var baseWS []model.WorkerID
@@ -784,18 +725,14 @@ func (g *Game) Step() bool {
 			mSnapshotBytes.Set(float64(base.FootprintBytes()))
 		}
 	}
-	trials, evaluated := g.evalTrials(center, cands, baseWS, st.leftTasks, g.memo[ci], base, iterTS.ID())
+	trials := g.evalTrials(center, cands, baseWS, st.leftTasks, base, iterTS.ID())
+	evaluated := len(cands)
 	resumed := 0
 	if base != nil {
 		resumed = evaluated
 	}
-	hits := len(cands) - evaluated
 	mTrials.Add(int64(evaluated))
 	mResumed.Add(int64(resumed))
-	if !cfg.noMemo {
-		mMemoMisses.Add(int64(evaluated))
-		mMemoHits.Add(int64(hits))
-	}
 
 	bestRho := st.rho
 	bestIdx := -1
@@ -815,25 +752,14 @@ func (g *Game) Step() bool {
 
 	step := TraceStep{
 		Iteration: iter, Recipient: ci, RhoBefore: st.rho,
-		Trials: evaluated, MemoHits: hits, Pruned: pruned, Resumed: resumed,
+		Trials: evaluated, Pruned: pruned, Resumed: resumed,
 	}
 	// provDelta/provReplace carry the accepted route delta to the ledger
 	// hook below; locals so the disabled path costs nothing.
 	var provDelta []model.Route
 	provReplace := false
 	if bestIdx < 0 {
-		// Lines 20–21: no improving dispatch — the center leaves C'. Its
-		// state is final, so its trials are promoted into the
-		// cross-iteration cache here (the only point an entry can outlive
-		// the iteration — trial slices live in recycled arenas otherwise).
-		if !cfg.noMemo {
-			if g.memo[ci] == nil {
-				g.memo[ci] = make(map[model.WorkerID]assign.Result, len(cands))
-			}
-			for i, w := range cands {
-				g.memo[ci][w] = cloneResult(&trials[i])
-			}
-		}
+		// Lines 20–21: no improving dispatch — the center leaves C'.
 		step.Accepted = false
 		step.RhoAfter = st.rho
 		g.recipients = removeCenter(g.recipients, ci)
@@ -856,15 +782,6 @@ func (g *Game) Step() bool {
 		st.workers = insertSortedID(st.workers, w)
 		g.transfers = append(g.transfers, model.Transfer{Src: src, Dst: ci, Worker: w})
 		mTransfers.Inc()
-		// Both centers' states changed: the recipient's routes, borrowed
-		// set and leftover tasks, and the lender's own-worker set. Both
-		// centers' cached trials are stale; every other center's remain
-		// valid. (Within one game the recipient never has cached trials —
-		// only rejected centers do, and they never return as recipients —
-		// but a resumed game carries drop-time memos for centers that play
-		// again, so the recipient's entry is cleared explicitly.)
-		g.memo[src] = nil
-		g.memo[ci] = nil
 		// The lender's trial baseline usually survives the lend: a worker
 		// with an empty route consumes nothing from the task pool, so
 		// Sequential over the set minus that worker serves every other
@@ -980,7 +897,7 @@ func (g *Game) Step() bool {
 			Worker: step.Worker, Source: step.Source,
 			RhoBefore: step.RhoBefore, RhoAfter: step.RhoAfter,
 			Phi: step.Phi, Pruned: pruned, Slack: provSlack,
-		}, cands, trials, g.missIdx, base != nil, provDelta, provReplace)
+		}, cands, trials, base != nil, provDelta, provReplace)
 	}
 	emitGameIter(cfg.Obs, &step)
 	if cfg.Tracer != nil {
@@ -988,7 +905,6 @@ func (g *Game) Step() bool {
 			obs.F("recipient", int(ci)),
 			obs.F("accepted", step.Accepted),
 			obs.F("trials", evaluated),
-			obs.F("memo_hits", hits),
 			obs.F("pruned", pruned),
 			obs.F("resumed", resumed),
 			obs.F("rho_after", step.RhoAfter))
@@ -1013,9 +929,6 @@ func (g *Game) Finish() Result {
 		}
 		sol.Transfers = g.transfers
 		g.res.Solution = sol
-		if g.cfg.Scope != LeftoverOnly && !g.cfg.noMemo {
-			g.res.trialMemo = g.memo
-		}
 	}
 	return g.res
 }
@@ -1045,7 +958,6 @@ func emitGameIter(o obs.Observer, step *TraceStep) {
 		obs.F("assigned", step.Assigned),
 		obs.F("unfairness", step.Unfairness),
 		obs.F("trials", step.Trials),
-		obs.F("memo_hits", step.MemoHits),
 		obs.F("pruned", step.Pruned),
 		obs.F("resumed", step.Resumed),
 		obs.F("duration_ms", obs.DurationMs(step.Duration)))
@@ -1078,17 +990,6 @@ func cloneRoutes(rs []model.Route) []model.Route {
 		out[i] = model.Route{Worker: r.Worker, Center: r.Center, Tasks: append([]model.TaskID(nil), r.Tasks...)}
 	}
 	return out
-}
-
-// cloneResult deep-copies a trial result out of its runner's arenas so it
-// can outlive the iteration (the memo promotion on reject).
-func cloneResult(r *assign.Result) assign.Result {
-	return assign.Result{
-		Routes:      cloneRoutes(r.Routes),
-		LeftTasks:   append([]model.TaskID(nil), r.LeftTasks...),
-		LeftWorkers: append([]model.WorkerID(nil), r.LeftWorkers...),
-		Stats:       r.Stats,
-	}
 }
 
 func removeCenter(cs []model.CenterID, c model.CenterID) []model.CenterID {

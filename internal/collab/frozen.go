@@ -95,8 +95,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		return out
 	}
 
-	memo := make([]map[model.WorkerID]assign.Result, n)
-
 	for iter := 1; iter <= maxIter && len(recipients) > 0 && len(pool) > 0; iter++ {
 		iterStart := time.Now()
 		res.Iterations = iter
@@ -144,19 +142,8 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		if cfg.Scope != LeftoverOnly {
 			baseWS = workerSetOf(ci)
 		}
-		trials, evaluated := evalTrialsRef(in, center, cands, baseWS, st.leftTasks, cfg, memo[ci])
-		hits := len(cands) - evaluated
-		mTrials.Add(int64(evaluated))
-		if !cfg.noMemo {
-			mMemoMisses.Add(int64(evaluated))
-			mMemoHits.Add(int64(hits))
-			if memo[ci] == nil {
-				memo[ci] = make(map[model.WorkerID]assign.Result, len(cands))
-			}
-			for i, w := range cands {
-				memo[ci][w] = trials[i]
-			}
-		}
+		trials := evalTrialsRef(in, center, cands, baseWS, st.leftTasks, cfg)
+		mTrials.Add(int64(len(cands)))
 
 		curAssigned := countTasks(st.routes)
 		bestRho := st.rho
@@ -178,7 +165,7 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 
 		step := TraceStep{
 			Iteration: iter, Recipient: ci, RhoBefore: st.rho,
-			Trials: evaluated, MemoHits: hits,
+			Trials: len(cands),
 		}
 		if bestIdx < 0 {
 			step.Accepted = false
@@ -198,8 +185,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			st.borrowed = append(st.borrowed, w)
 			transfers = append(transfers, model.Transfer{Src: src, Dst: ci, Worker: w})
 			mTransfers.Inc()
-			memo[ci] = nil
-			memo[src] = nil
 
 			if cfg.Scope == LeftoverOnly {
 				st.routes = append(st.routes, cloneRoutes(bestRes.Routes)...)
@@ -242,31 +227,16 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 	}
 	sol.Transfers = transfers
 	res.Solution = sol
-	if cfg.Scope != LeftoverOnly && !cfg.noMemo {
-		res.trialMemo = memo
-	}
 	return res
 }
 
 // evalTrialsRef is the frozen full-trial evaluator backing RunReference:
-// every cache miss costs one complete assigner run over the recipient's
+// every candidate costs one complete assigner run over the recipient's
 // worker set plus the candidate.
 func evalTrialsRef(in *model.Instance, center *model.Center, cands []model.WorkerID,
-	baseWS []model.WorkerID, leftTasks []model.TaskID, cfg Config,
-	cache map[model.WorkerID]assign.Result) ([]assign.Result, int) {
+	baseWS []model.WorkerID, leftTasks []model.TaskID, cfg Config) []assign.Result {
 
 	trials := make([]assign.Result, len(cands))
-	misses := make([]int, 0, len(cands))
-	for i, w := range cands {
-		if r, ok := cache[w]; ok {
-			trials[i] = r
-		} else {
-			misses = append(misses, i)
-		}
-	}
-	if len(misses) == 0 {
-		return trials, 0
-	}
 
 	eval := func(i int) assign.Result {
 		w := cands[i]
@@ -280,17 +250,17 @@ func evalTrialsRef(in *model.Instance, center *model.Center, cands []model.Worke
 	}
 
 	workers := parallelism(cfg.Parallelism)
-	if workers > len(misses) {
-		workers = len(misses)
+	if workers > len(cands) {
+		workers = len(cands)
 	}
 	if workers <= 1 {
-		for _, i := range misses {
+		for i := range cands {
 			trials[i] = eval(i)
 		}
-		return trials, len(misses)
+		return trials
 	}
 
-	mPoolDispatched.Add(int64(len(misses)))
+	mPoolDispatched.Add(int64(len(cands)))
 	dispatched := time.Now()
 	timed := obs.TimingOn()
 	var next atomic.Int64
@@ -302,18 +272,17 @@ func evalTrialsRef(in *model.Instance, center *model.Center, cands []model.Worke
 			mPoolWorkers.Add(1)
 			defer mPoolWorkers.Add(-1)
 			for {
-				k := next.Add(1) - 1
-				if int(k) >= len(misses) {
+				i := int(next.Add(1) - 1)
+				if i >= len(cands) {
 					return
 				}
 				if timed {
 					mPoolQueueWait.Observe(time.Since(dispatched).Seconds())
 				}
-				i := misses[k]
 				trials[i] = eval(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return trials, len(misses)
+	return trials
 }

@@ -32,13 +32,12 @@ import (
 // parallelism. When the games run concurrently their inner trial
 // parallelism is forced to 1.
 //
-// Every game starts from start. A non-nil resume carries prior transfers and
-// trial memos in, each routed to the group of its center; a prior transfer
-// must stay inside one group. Each game records into its own cfg.Ledger log
-// under stage, created upfront in group order so the ledger's log sequence
-// is deterministic too.
+// Every game starts from start. The prior transfers are replayed into the
+// game of their recipient's group; a prior transfer must stay inside one
+// group. Each game records into its own cfg.Ledger log under stage, created
+// upfront in group order so the ledger's log sequence is deterministic too.
 func playGroups(in *model.Instance, start []assign.Result, groupOf []int, nGroups int,
-	cfg ShardConfig, stage string, resume *resumeState) ([]*Game, []Result, []time.Duration) {
+	cfg ShardConfig, stage string, prior []model.Transfer) ([]*Game, []Result, []time.Duration) {
 
 	members := make([][]model.CenterID, nGroups)
 	for ci, g := range groupOf {
@@ -48,21 +47,10 @@ func playGroups(in *model.Instance, start []assign.Result, groupOf []int, nGroup
 	for w := range poolMask {
 		poolMask[w] = uint64(groupOf[in.Workers[w].Home])
 	}
-	// Per-group resume views: fresh memo arrays so concurrent games never
-	// share mutable slots; each map is read and invalidated only by the game
-	// of its center's group. Transfers keep their global order per group.
-	resumes := make([]*resumeState, nGroups)
-	if resume != nil {
-		for g := range resumes {
-			resumes[g] = &resumeState{memo: make([]map[model.WorkerID]assign.Result, len(in.Centers))}
-		}
-		for _, tr := range resume.transfers {
-			r := resumes[groupOf[tr.Dst]]
-			r.transfers = append(r.transfers, tr)
-		}
-		for ci, m := range resume.memo {
-			resumes[groupOf[ci]].memo[ci] = m
-		}
+	// Transfers keep their global order per group.
+	priors := make([][]model.Transfer, nGroups)
+	for _, tr := range prior {
+		priors[groupOf[tr.Dst]] = append(priors[groupOf[tr.Dst]], tr)
 	}
 	logs := make([]*provenance.GameLog, nGroups)
 	if cfg.Ledger != nil {
@@ -90,7 +78,7 @@ func playGroups(in *model.Instance, start []assign.Result, groupOf []int, nGroup
 		gcfg.poolMask, gcfg.poolBit = poolMask, uint64(g)
 		gcfg.Parallelism = innerPar
 		gcfg.Prov = logs[g]
-		gcfg.resume = resumes[g]
+		gcfg.prior = priors[g]
 		t0 := time.Now()
 		games[g] = NewGame(in, start, gcfg)
 		for games[g].Step() {
@@ -129,7 +117,7 @@ func playGroups(in *model.Instance, start []assign.Result, groupOf []int, nGroup
 // empty. A game cut off by its iteration cap with a live pool strands
 // nobody. The transfer log extends prior in merged step order.
 func interleave(in *model.Instance, start []assign.Result, groupOf []int,
-	games []*Game, solus []Result, prior []model.Transfer, cfg *Config) Result {
+	games []*Game, solus []Result, prior []model.Transfer) Result {
 
 	n := len(in.Centers)
 	nGroups := len(games)
@@ -241,25 +229,5 @@ func interleave(in *model.Instance, start []assign.Result, groupOf []int,
 		sol.PerCenter[ci].Routes = solus[groupOf[ci]].Solution.PerCenter[ci].Routes
 	}
 	sol.Transfers = transfers
-	res := Result{Solution: sol, Trace: trace, Iterations: len(trace)}
-	// Game.Finish's memo rule: the group games' end-state caches merge per
-	// center (each center is cached by exactly one group), FullReassign
-	// only — a DC trial is not the verifier's deviation. A global game may
-	// cache strictly more (under PruneOff its candidate lists span other
-	// groups' pools), but every missing entry falls back to a fresh trial in
-	// VerifyEquilibrium.
-	if cfg.Scope != LeftoverOnly && !cfg.noMemo {
-		memo := make([]map[model.WorkerID]assign.Result, n)
-		anyMemo := false
-		for ci := range in.Centers {
-			if m := games[groupOf[ci]].memo[ci]; m != nil {
-				memo[ci] = m
-				anyMemo = true
-			}
-		}
-		if anyMemo {
-			res.trialMemo = memo
-		}
-	}
-	return res
+	return Result{Solution: sol, Trace: trace, Iterations: len(trace)}
 }

@@ -65,7 +65,7 @@ func (g *Game) fullTrial(center *model.Center, cand model.WorkerID,
 	return g.cfg.Assigner(g.in, center, ws, center.Tasks)
 }
 
-// tracedTrial wraps one miss evaluation in a "trial" span carrying the
+// tracedTrial wraps one trial evaluation in a "trial" span carrying the
 // candidate, the evaluation outcome, and — on the resume path — the replay
 // profile of the differential engine.
 func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
@@ -91,17 +91,15 @@ func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
 }
 
 // evalTrials returns one trial re-assignment result per candidate worker,
-// in candidate order, plus the number of trials actually evaluated (cache
-// hits excluded). Results already present in cache are reused verbatim; the
-// misses are evaluated — concurrently when cfg.Parallelism != 1 — each
-// writing its result to a fixed slot so the output is independent of
-// scheduling order.
+// in candidate order. Every candidate is evaluated — concurrently when
+// cfg.Parallelism != 1 — each writing its result to a fixed slot so the
+// output is independent of scheduling order.
 //
-// When base is non-nil, misses are served by the prefix-resume engine: each
+// When base is non-nil, trials are served by the prefix-resume engine: each
 // evaluation replays only the serve-order suffix the candidate perturbs
 // against base's snapshot (assign.TrialBase), through the game's persistent
 // per-slot runners (rebound here, so their arenas recycle instead of
-// allocating). A nil base falls back to one full assigner run per miss.
+// allocating). A nil base falls back to one full assigner run per trial.
 //
 // The returned slice is the game's per-iteration scratch: every result in
 // it — and every slice those results carry — is valid only until the next
@@ -110,45 +108,30 @@ func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
 // copy, so the shared slice is never mutated. leftTasks is read-only for
 // the assigners.
 //
-// With a tracer configured, every evaluated miss is wrapped in a "trial"
-// span parented to traceParent (the iteration span) carrying the candidate
+// With a tracer configured, every trial is wrapped in a "trial" span
+// parented to traceParent (the iteration span) carrying the candidate
 // worker and its evaluation outcome — "resumed" when the prefix-resume
-// engine served it, "full" for a complete assigner run. Memo hits record no
-// span (they cost no wall-clock worth a timeline row); their count rides on
-// the iteration span instead.
+// engine served it, "full" for a complete assigner run.
 func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
-	baseWS []model.WorkerID, leftTasks []model.TaskID,
-	cache map[model.WorkerID]assign.Result, base *assign.TrialBase,
-	traceParent obs.SpanID) ([]assign.Result, int) {
+	baseWS []model.WorkerID, leftTasks []model.TaskID, base *assign.TrialBase,
+	traceParent obs.SpanID) []assign.Result {
 
 	if cap(g.trials) < len(cands) {
 		g.trials = make([]assign.Result, len(cands))
 	}
 	trials := g.trials[:len(cands)]
-	misses := g.missIdx[:0]
-	for i, w := range cands {
-		if r, ok := cache[w]; ok {
-			trials[i] = r
-		} else {
-			misses = append(misses, i)
-		}
-	}
-	g.missIdx = misses
-	if len(misses) == 0 {
-		return trials, 0
-	}
 	tr := g.cfg.Tracer
 
 	workers := parallelism(g.cfg.Parallelism)
-	if workers > len(misses) {
-		workers = len(misses)
+	if workers > len(cands) {
+		workers = len(cands)
 	}
 	if workers <= 1 {
 		var runner *assign.TrialRunner
 		if base != nil {
 			runner = g.runner(0, base)
 		}
-		for _, i := range misses {
+		for i := range cands {
 			switch {
 			case tr != nil:
 				trials[i] = g.tracedTrial(runner, center, cands[i], baseWS, leftTasks, traceParent)
@@ -158,28 +141,26 @@ func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
 				trials[i] = g.fullTrial(center, cands[i], baseWS, leftTasks)
 			}
 		}
-		return trials, len(misses)
+		return trials
 	}
 
-	g.evalParallel(center, cands, baseWS, leftTasks, cache, base, traceParent,
-		trials, misses, workers)
-	return trials, len(misses)
+	g.evalParallel(center, cands, baseWS, leftTasks, base, traceParent, trials, workers)
+	return trials
 }
 
-// evalParallel runs the concurrent miss-evaluation pool. It lives in its own
+// evalParallel runs the concurrent trial-evaluation pool. It lives in its own
 // frame so the goroutine closure does not capture evalTrials' locals — a
 // captured-and-reassigned variable is forced onto the heap at declaration,
 // which would charge the serial path one allocation per iteration for a
 // branch it never takes.
 //
-// One persistent runner per slot; goroutines pull miss indices from a shared
-// atomic queue and write to fixed slots. The goroutine spawns themselves
+// One persistent runner per slot; goroutines pull candidate indices from a
+// shared atomic queue and write to fixed slots. The goroutine spawns themselves
 // allocate — parallel games trade a little per-iteration garbage for
 // wall-clock; the zero-allocation guarantee targets the serial engine.
 func (g *Game) evalParallel(center *model.Center, cands []model.WorkerID,
-	baseWS []model.WorkerID, leftTasks []model.TaskID,
-	cache map[model.WorkerID]assign.Result, base *assign.TrialBase,
-	traceParent obs.SpanID, trials []assign.Result, misses []int, workers int) {
+	baseWS []model.WorkerID, leftTasks []model.TaskID, base *assign.TrialBase,
+	traceParent obs.SpanID, trials []assign.Result, workers int) {
 
 	tr := g.cfg.Tracer
 	if base != nil {
@@ -187,7 +168,7 @@ func (g *Game) evalParallel(center *model.Center, cands []model.WorkerID,
 			g.runner(s, base)
 		}
 	}
-	mPoolDispatched.Add(int64(len(misses)))
+	mPoolDispatched.Add(int64(len(cands)))
 	dispatched := time.Now()
 	timed := obs.TimingOn()
 	var next atomic.Int64
@@ -203,14 +184,13 @@ func (g *Game) evalParallel(center *model.Center, cands []model.WorkerID,
 				runner = g.runners[slot]
 			}
 			for {
-				k := next.Add(1) - 1
-				if int(k) >= len(misses) {
+				i := int(next.Add(1) - 1)
+				if i >= len(cands) {
 					return
 				}
 				if timed {
 					mPoolQueueWait.Observe(time.Since(dispatched).Seconds())
 				}
-				i := misses[k]
 				switch {
 				case tr != nil:
 					trials[i] = g.tracedTrial(runner, center, cands[i], baseWS, leftTasks, traceParent)

@@ -69,76 +69,8 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestMemoNeverChangesResults compares a memoized run against one with the
-// cache disabled (the noMemo test hook): the game must be bit-identical —
-// the cache only ever returns what a fresh evaluation would compute — and
-// the memoized run must never issue more assigner calls.
-func TestMemoNeverChangesResults(t *testing.T) {
-	in := seededInstance(11, 5, 30, 120)
-	p1 := phase1(in)
-
-	counter := func(n *int) Assigner {
-		return func(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []model.TaskID) assign.Result {
-			*n++
-			return assign.Sequential(in, c, ws, ts)
-		}
-	}
-	var memoCalls, freshCalls int
-	memoized := Run(in, p1, Config{Assigner: counter(&memoCalls), Parallelism: 1})
-	fresh := Run(in, p1, Config{Assigner: counter(&freshCalls), Parallelism: 1, noMemo: true})
-
-	if !reflect.DeepEqual(stripDurations(memoized.Trace), stripDurations(fresh.Trace)) {
-		t.Fatalf("memoized run diverged from unmemoized reference")
-	}
-	if !reflect.DeepEqual(memoized.Solution.PerCenter, fresh.Solution.PerCenter) {
-		t.Fatalf("memoized solution diverged from unmemoized reference")
-	}
-	if memoized.Iterations < 3 {
-		t.Fatalf("instance too easy to exercise memoization (only %d iterations)", memoized.Iterations)
-	}
-	if memoCalls > freshCalls {
-		t.Fatalf("memoization added work: %d calls memoized vs %d unmemoized", memoCalls, freshCalls)
-	}
-}
-
-// TestCachedVerifyReusesTrials measures the memo where it pays off: the
-// equilibrium verifier. A center that dropped out of the game evaluated
-// every pool candidate against its final state, which is exactly what the
-// verifier re-derives; Result.VerifyEquilibrium must reach the same verdict
-// as the package-level verifier with strictly fewer assigner calls.
-func TestCachedVerifyReusesTrials(t *testing.T) {
-	in := seededInstance(11, 5, 30, 120)
-	p1 := phase1(in)
-	res := Run(in, p1, Config{Assigner: assign.Sequential})
-
-	counter := func(n *int) Assigner {
-		return func(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []model.TaskID) assign.Result {
-			*n++
-			return assign.Sequential(in, c, ws, ts)
-		}
-	}
-	var cachedCalls, freshCalls int
-	cachedErr := res.VerifyEquilibrium(in, counter(&cachedCalls))
-	freshErr := VerifyEquilibrium(in, res.Solution, counter(&freshCalls))
-
-	if (cachedErr == nil) != (freshErr == nil) {
-		t.Fatalf("verdicts differ: cached %v, fresh %v", cachedErr, freshErr)
-	}
-	if cachedErr != nil {
-		t.Fatalf("BDC outcome is not an equilibrium: %v", cachedErr)
-	}
-	if freshCalls == 0 {
-		t.Skip("final pool empty; nothing for the verifier to probe")
-	}
-	if cachedCalls >= freshCalls {
-		t.Fatalf("trial cache ineffective: %d assigner calls cached vs %d fresh", cachedCalls, freshCalls)
-	}
-	t.Logf("verifier assigner calls: %d cached vs %d fresh", cachedCalls, freshCalls)
-}
-
 // TestEvalTrialsSlots checks the fixed-slot contract directly: results land
-// at their candidate's index regardless of parallelism, and cached entries
-// are returned verbatim.
+// at their candidate's index regardless of parallelism.
 func TestEvalTrialsSlots(t *testing.T) {
 	in := seededInstance(3, 4, 24, 96)
 	center := in.Center(0)
@@ -149,12 +81,9 @@ func TestEvalTrialsSlots(t *testing.T) {
 	base := center.Workers
 	for _, par := range []int{1, 2, 8} {
 		g := &Game{in: in, cfg: Config{Assigner: assign.Sequential, Parallelism: par}}
-		got, evaluated := g.evalTrials(center, cands, base, nil, nil, nil, 0)
+		got := g.evalTrials(center, cands, base, nil, nil, 0)
 		if len(got) != len(cands) {
 			t.Fatalf("par=%d: %d results for %d candidates", par, len(got), len(cands))
-		}
-		if evaluated != len(cands) {
-			t.Fatalf("par=%d: evaluated %d of %d uncached candidates", par, evaluated, len(cands))
 		}
 		for i, w := range cands {
 			ws := append(append([]model.WorkerID(nil), base...), w)
@@ -162,26 +91,6 @@ func TestEvalTrialsSlots(t *testing.T) {
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("par=%d: slot %d (worker %d) mismatch", par, i, w)
 			}
-		}
-	}
-	// Cache hits bypass the assigner entirely.
-	cache := map[model.WorkerID]assign.Result{}
-	poisoned := func(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []model.TaskID) assign.Result {
-		t.Fatalf("assigner called despite full cache")
-		return assign.Result{}
-	}
-	for _, w := range cands {
-		ws := append(append([]model.WorkerID(nil), base...), w)
-		cache[w] = assign.Sequential(in, center, ws, center.Tasks)
-	}
-	g := &Game{in: in, cfg: Config{Assigner: poisoned, Parallelism: 4}}
-	got, evaluated := g.evalTrials(center, cands, base, nil, cache, nil, 0)
-	if evaluated != 0 {
-		t.Fatalf("full cache but %d trials evaluated", evaluated)
-	}
-	for i, w := range cands {
-		if !reflect.DeepEqual(got[i], cache[w]) {
-			t.Fatalf("cached slot %d (worker %d) not returned verbatim", i, w)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func TestReconcileComponentsBitIdentical(t *testing.T) {
 			if err := routing.SolutionFeasible(in, got.Solution); err != nil {
 				t.Fatalf("trial %d par=%d: %v", trial, par, err)
 			}
-			if err := got.VerifyEquilibrium(in, nil); err != nil {
+			if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 				t.Fatalf("trial %d par=%d: %v", trial, par, err)
 			}
 		}
@@ -151,7 +151,7 @@ func TestOneGroupIsGlobalGame(t *testing.T) {
 			want := Run(in, p1, cfg.Config)
 			zero := make([]int, len(in.Centers))
 			games, solus, _ := playGroups(in, p1, zero, 1, cfg, provenance.StageGame, nil)
-			got := interleave(in, p1, zero, games, solus, nil, &cfg.Config)
+			got := interleave(in, p1, zero, games, solus, nil)
 			if !reflect.DeepEqual(got.Solution, want.Solution) {
 				t.Fatalf("trial %d cap=%d: one-group solution diverged from Run", trial, m)
 			}
@@ -269,7 +269,7 @@ func TestReconcileResumedGameStepZeroAlloc(t *testing.T) {
 		mask[i] = 1
 	}
 	cfg.members, cfg.poolMask, cfg.poolBit = members, mask, 1
-	cfg.resume = &resumeState{transfers: append([]model.Transfer(nil), prior...)}
+	cfg.prior = append([]model.Transfer(nil), prior...)
 	g := NewGame(in, p1, cfg)
 	for i := 0; i < 60; i++ {
 		if !g.Step() {

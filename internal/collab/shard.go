@@ -10,7 +10,7 @@ package collab
 // component (reconcile.go). Both phases run through one group runner and
 // one interleave merge (groups.go). The exchange game runs the ordinary
 // best-response dynamics to a fixed point, so the final state is a global
-// pure Nash equilibrium (Result.VerifyEquilibrium); when the interference
+// pure Nash equilibrium (VerifyEquilibrium); when the interference
 // cut is empty the shard games ARE the global game and RunSharded
 // reconstructs the exact reference sequence — routes, transfers and trace
 // bit-identical to Run/RunReference.
@@ -441,7 +441,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		// No worker can touch two shards: the shard games are exactly the
 		// global game's per-shard subsequences, and interleaving them
 		// reconstructs the reference run verbatim.
-		return interleave(in, phase1, shardOf, games, solus, nil, &cfg.Config), rep
+		return interleave(in, phase1, shardOf, games, solus, nil), rep
 	}
 
 	// Phase B: boundary reconciliation. The exchange game is the ordinary
@@ -449,8 +449,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	// full worker pool — boundary workers included for the first time — so
 	// every center (including those that dropped out of a shard game)
 	// re-probes its improving deviations against the global pool. The
-	// carried trial memos answer the shard-local candidates instantly; only
-	// cross-shard candidates cost fresh trials. The dynamics terminates at a
+	// dynamics terminates at a
 	// state with no improving transfer anywhere: a global Nash equilibrium.
 	//
 	// It is played as one group game per conflict component: admissibility
@@ -464,7 +463,6 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	for s := 0; s < nShards; s++ {
 		prior = append(prior, solus[s].Solution.Transfers...)
 	}
-	memo := make([]map[model.WorkerID]assign.Result, len(in.Centers))
 	groupOf := make([]int, len(in.Centers))
 	nGroups := 1
 	if cfg.MaxIterations <= 0 {
@@ -484,14 +482,12 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 			}
 		}
 		merged[ci] = assign.Result{Routes: st.routes, LeftTasks: st.leftTasks, LeftWorkers: lws}
-		memo[ci] = g.memo[ci]
 		if nGroups > 1 {
 			groupOf[ci] = compOf[shardOf[ci]]
 		}
 	}
-	gamesB, solusB, _ := playGroups(in, merged, groupOf, nGroups, cfg, provenance.StageExchange,
-		&resumeState{transfers: prior, memo: memo})
-	resB := interleave(in, merged, groupOf, gamesB, solusB, prior, &cfg.Config)
+	gamesB, solusB, _ := playGroups(in, merged, groupOf, nGroups, cfg, provenance.StageExchange, prior)
+	resB := interleave(in, merged, groupOf, gamesB, solusB, prior)
 	rep.ExchangeIterations = resB.Iterations
 	rep.ExchangeTransfers = len(resB.Solution.Transfers) - len(prior)
 	mExchangeIters.Add(int64(rep.ExchangeIterations))

@@ -104,7 +104,7 @@ func TestShardedEmptyCutBitIdentical(t *testing.T) {
 					t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 				}
 			}
-			if err := got.VerifyEquilibrium(in, nil); err != nil {
+			if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
 		}
@@ -130,7 +130,7 @@ func TestShardedConflictedEquilibrium(t *testing.T) {
 			if err := routing.SolutionFeasible(in, got.Solution); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
-			if err := got.VerifyEquilibrium(in, nil); err != nil {
+			if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
 			// Φ monotone per segment: the trace is the shard traces in shard
@@ -176,9 +176,7 @@ func TestShardedConflictedEquilibrium(t *testing.T) {
 // TestShardedDCScope: the leftover-only (DC) scope runs through the sharded
 // engine too — phase A dispatches leftovers within each home shard, the
 // exchange game finishes globally — deterministically and without ever
-// losing tasks versus no collaboration. The run's own equilibrium verdict
-// must match the package verifier's: a DC trial is not the verifier's
-// deviation, so no DC run may carry a trial cache into it.
+// losing tasks versus no collaboration.
 func TestShardedDCScope(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 6; trial++ {
@@ -196,14 +194,6 @@ func TestShardedDCScope(t *testing.T) {
 		again, _ := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 3, Seed: 5})
 		if !reflect.DeepEqual(got.Solution, again.Solution) {
 			t.Fatalf("trial %d: DC sharded run not deterministic", trial)
-		}
-		for _, k := range []int{2, 3} {
-			res, _ := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: k, Seed: 5})
-			own := res.VerifyEquilibrium(in, nil)
-			pkg := VerifyEquilibrium(in, res.Solution, nil)
-			if (own == nil) != (pkg == nil) {
-				t.Fatalf("trial %d shards=%d: verdicts disagree: result %v, package %v", trial, k, own, pkg)
-			}
 		}
 	}
 }
@@ -316,7 +306,7 @@ func TestPlanShardsEdgeCases(t *testing.T) {
 			}
 		}
 		got, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: k, Seed: 7})
-		if err := got.VerifyEquilibrium(in, nil); err != nil {
+		if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if rep.Shards != len(rep.ShardIterations) {

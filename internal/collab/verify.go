@@ -23,22 +23,6 @@ import (
 // evaluated by prefix-resume against one baseline run per center instead of
 // a full re-assignment each. The verdict is identical either way.
 func VerifyEquilibrium(in *model.Instance, sol *model.Solution, assigner Assigner) error {
-	return verifyEquilibrium(in, sol, assigner, nil)
-}
-
-// VerifyEquilibrium checks the run's own solution, reusing the trial cache
-// that survived the game: a center that dropped out evaluated every pool
-// candidate against its final state in its last turn, which is exactly the
-// deviation the verifier probes, so most trials come from the cache instead
-// of re-running the assigner. Cache misses (e.g. workers returned to the
-// pool after the center's last turn) fall back to fresh evaluation; the
-// verdict is identical to the package-level VerifyEquilibrium.
-func (r *Result) VerifyEquilibrium(in *model.Instance, assigner Assigner) error {
-	return verifyEquilibrium(in, r.Solution, assigner, r.trialMemo)
-}
-
-func verifyEquilibrium(in *model.Instance, sol *model.Solution, assigner Assigner,
-	memo []map[model.WorkerID]assign.Result) error {
 	seq := isSequentialAssigner(assigner)
 	if assigner == nil {
 		assigner = assign.Sequential
@@ -101,27 +85,18 @@ func verifyEquilibrium(in *model.Instance, sol *model.Solution, assigner Assigne
 			if seq && !assign.WorkerAdmissible(in, center, cand, slack) {
 				continue
 			}
-			trial, cached := assign.Result{}, false
-			if ci < len(memo) && memo[ci] != nil {
-				trial, cached = memo[ci][cand]
-			}
-			if !cached {
-				if seq {
-					if runner == nil {
-						baseline := assigner(in, center, workers, center.Tasks)
-						if base, ok := assign.NewTrialBase(in, center, workers, baseline.Routes, baseline.LeftTasks); ok {
-							runner = base.NewRunner()
-							defer runner.Release()
-						}
-					}
-					if runner != nil {
-						trial = runner.Trial(cand)
-					} else {
-						trial = assigner(in, center, append(append([]model.WorkerID(nil), workers...), cand), center.Tasks)
-					}
-				} else {
-					trial = assigner(in, center, append(append([]model.WorkerID(nil), workers...), cand), center.Tasks)
+			if seq && runner == nil {
+				baseline := assigner(in, center, workers, center.Tasks)
+				if base, ok := assign.NewTrialBase(in, center, workers, baseline.Routes, baseline.LeftTasks); ok {
+					runner = base.NewRunner()
+					defer runner.Release()
 				}
+			}
+			var trial assign.Result
+			if runner != nil {
+				trial = runner.Trial(cand)
+			} else {
+				trial = assigner(in, center, append(append([]model.WorkerID(nil), workers...), cand), center.Tasks)
 			}
 			newRho := metrics.Ratio(trial.AssignedCount(), len(center.Tasks))
 			if newRho > rho+rhoEps {

@@ -3,6 +3,7 @@ package provenance
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func testLedger() *Ledger {
 		Source: 0, RhoBefore: 0, RhoAfter: 1, Phi: 5.0 / 3, Pruned: 1, Slack: 1.5},
 		[]model.WorkerID{2},
 		[]assign.Result{{Routes: []model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}}},
-		[]int{0}, false,
+		false,
 		[]model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}, true)
 	l.RecordShard(ShardInfo{Shards: 2, ShardOf: []int{0, 1},
 		BoundaryWorkers: 1, ExclusiveWorkers: 2, EmptyCut: false,
@@ -125,5 +126,36 @@ func TestReadLedgerSkipsForeignEvents(t *testing.T) {
 	bad := fmt.Sprintf(`{"seq":1,"t_ms":0.0,"schema_version":%d,"event":"prov_wat"}`, obs.SchemaVersion)
 	if _, err := ReadLedger(strings.NewReader(bad + "\n")); err == nil {
 		t.Error("unknown prov_* record type accepted")
+	}
+}
+
+// TestReadLedgerDecodesMemoTrials: ledgers written while the engine still
+// kept a cross-iteration trial cache carry a memo_hits key on every
+// prov_iter record and mark cached trials with mode 0. Such a record must
+// still parse, its mode-0 trial must decode as TrialMemo, and the fresh
+// trial next to it keeps its own mode.
+func TestReadLedgerDecodesMemoTrials(t *testing.T) {
+	stream := fmt.Sprintf(`{"seq":1,"t_ms":0.0,"schema_version":%[1]d,"event":"prov_meta","method":"Seq-BDC","engine":"sharded","scope":"full","centers":2,"workers":3,"tasks":4,"seed":42}
+{"seq":2,"t_ms":0.1,"schema_version":%[1]d,"event":"prov_log","stage":"exchange","shard":0,"iters":1}
+{"seq":3,"t_ms":0.2,"schema_version":%[1]d,"event":"prov_iter","iter":1,"recipient":1,"accepted":false,"w":0,"source":0,"rho_before":0.5,"rho_after":0.5,"phi":1.5,"pruned":0,"slack":-1,"memo_hits":1,"replace":false,"trials":[{"w":0,"n":1,"m":0},{"w":2,"n":1,"m":2}],"routes":[]}
+`, obs.SchemaVersion)
+	l, err := ReadLedger(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Logs) != 1 || len(l.Logs[0].Iters) != 1 {
+		t.Fatalf("want one log with one iteration, got %d logs", len(l.Logs))
+	}
+	g := l.Logs[0]
+	it := &g.Iters[0]
+	if it.Recipient != 1 || it.Accepted || it.RhoBefore != 0.5 {
+		t.Errorf("iteration misparsed: %+v", *it)
+	}
+	want := []TrialRec{
+		{Worker: 0, Assigned: 1, Mode: TrialMemo},
+		{Worker: 2, Assigned: 1, Mode: TrialResumed},
+	}
+	if got := g.Trials(it); !reflect.DeepEqual(got, want) {
+		t.Errorf("trials %+v, want %+v", got, want)
 	}
 }

@@ -3,7 +3,7 @@
 // transferred or stranded. A Ledger captures the full lifecycle of one IMTAO
 // run — phase-1 routes and deadline-rejection scan events, every phase-2
 // best-response iteration (recipient choice, admission-radius pruning, trial
-// outcomes with their memo/resume provenance, accepted and rejected
+// outcomes with their full/resumed provenance, accepted and rejected
 // dispatches with Δρ/ΔΦ), shard and boundary-exchange structure under the
 // sharded engine, and the final routes with per-task arrival times — plus an
 // equilibrium Certificate of per-center best-response witnesses that
@@ -59,7 +59,9 @@ const (
 
 // Trial evaluation modes recorded per candidate.
 const (
-	// TrialMemo: the trial came from the cross-iteration cache.
+	// TrialMemo: the trial came from a cross-iteration cache. The engines
+	// no longer keep one and never record this mode; it keeps its value so
+	// ledgers written by earlier versions still decode and explain.
 	TrialMemo = uint8(iota)
 	// TrialFull: a complete assigner run.
 	TrialFull
@@ -120,7 +122,6 @@ type IterRec struct {
 	Phi       float64 // stage-local potential after the step
 	Pruned    int     // pool candidates cut by the admission radius
 	Slack     float64 // admission slack that did the cutting; -1 = pruning off
-	MemoHits  int
 	// TrialOff/TrialN index the log's trial arena: one TrialRec per
 	// considered candidate, in candidate (ascending worker ID) order.
 	TrialOff, TrialN int
@@ -132,7 +133,7 @@ type IterRec struct {
 	Replace          bool
 }
 
-// TrialRec is one candidate's evaluated (or cached) trial outcome.
+// TrialRec is one candidate's evaluated trial outcome.
 type TrialRec struct {
 	Worker   model.WorkerID
 	Assigned int32 // tasks the trial assignment would serve
@@ -180,15 +181,14 @@ type IterInfo struct {
 }
 
 // RecordIter appends one iteration to the log. trials[i] is the outcome for
-// cands[i]; missIdx lists (ascending) the candidate indices that were
-// evaluated fresh rather than served from the memo, and resumed tells
-// whether fresh evaluations went through the prefix-resume engine.
+// cands[i], and resumed tells whether the trials went through the
+// prefix-resume engine.
 // newRoutes is the recipient's accepted route delta (nil on rejects):
 // its complete new route set when replace, the appended routes otherwise.
 // The route tasks are deep-copied into the log's arena — callers may
 // recycle them immediately.
 func (l *GameLog) RecordIter(info IterInfo, cands []model.WorkerID,
-	trials []assign.Result, missIdx []int, resumed bool,
+	trials []assign.Result, resumed bool,
 	newRoutes []model.Route, replace bool) {
 
 	rec := IterRec{
@@ -196,21 +196,14 @@ func (l *GameLog) RecordIter(info IterInfo, cands []model.WorkerID,
 		Worker: info.Worker, Source: info.Source,
 		RhoBefore: info.RhoBefore, RhoAfter: info.RhoAfter, Phi: info.Phi,
 		Pruned: info.Pruned, Slack: info.Slack,
-		MemoHits: len(cands) - len(missIdx),
 		TrialOff: len(l.trials), TrialN: len(cands),
 		RouteOff: len(l.routes), RouteN: len(newRoutes), Replace: replace,
 	}
-	freshMode := TrialFull
+	mode := TrialFull
 	if resumed {
-		freshMode = TrialResumed
+		mode = TrialResumed
 	}
-	mi := 0
 	for i, w := range cands {
-		mode := TrialMemo
-		if mi < len(missIdx) && missIdx[mi] == i {
-			mode = freshMode
-			mi++
-		}
 		l.trials = appendGrown(l.trials, TrialRec{
 			Worker: w, Assigned: int32(trials[i].AssignedCount()), Mode: mode})
 	}

@@ -1,11 +1,9 @@
 package workload
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"imtao/internal/geo"
 	"imtao/internal/model"
@@ -83,77 +81,3 @@ func ReadJSON(r io.Reader) (*model.Instance, error) {
 	}
 	return in, nil
 }
-
-// WriteCSV writes the instance as three CSV sections (centers, tasks,
-// workers), each introduced by a header row. The format is meant for
-// eyeballing and spreadsheet import.
-func WriteCSV(w io.Writer, in *model.Instance) error {
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-	rows := [][]string{{"kind", "x", "y", "expiry", "reward", "maxT", "speed"}}
-	rows = append(rows, []string{"meta", f(in.Bounds.Min.X), f(in.Bounds.Min.Y), f(in.Bounds.Max.X), f(in.Bounds.Max.Y), "", f(in.Speed)})
-	for _, c := range in.Centers {
-		rows = append(rows, []string{"center", f(c.Loc.X), f(c.Loc.Y), "", "", "", ""})
-	}
-	for _, t := range in.Tasks {
-		rows = append(rows, []string{"task", f(t.Loc.X), f(t.Loc.Y), f(t.Expiry), f(t.Reward), "", ""})
-	}
-	for _, wk := range in.Workers {
-		rows = append(rows, []string{"worker", f(wk.Loc.X), f(wk.Loc.Y), "", "", strconv.Itoa(wk.MaxT), ""})
-	}
-	return cw.WriteAll(rows)
-}
-
-// ReadCSV parses the format written by WriteCSV into an unpartitioned
-// instance.
-func ReadCSV(r io.Reader) (*model.Instance, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("workload: reading csv: %w", err)
-	}
-	in := &model.Instance{}
-	for i, rec := range records {
-		if i == 0 {
-			continue // header
-		}
-		if len(rec) < 7 {
-			return nil, fmt.Errorf("workload: csv row %d has %d fields", i, len(rec))
-		}
-		switch rec[0] {
-		case "meta":
-			minX, _ := strconv.ParseFloat(rec[1], 64)
-			minY, _ := strconv.ParseFloat(rec[2], 64)
-			maxX, _ := strconv.ParseFloat(rec[3], 64)
-			maxY, _ := strconv.ParseFloat(rec[4], 64)
-			in.Bounds = geo.NewRect(geo.Pt(minX, minY), geo.Pt(maxX, maxY))
-			in.Speed, _ = strconv.ParseFloat(rec[6], 64)
-		case "center":
-			x, _ := strconv.ParseFloat(rec[1], 64)
-			y, _ := strconv.ParseFloat(rec[2], 64)
-			in.Centers = append(in.Centers, model.Center{ID: model.CenterID(len(in.Centers)), Loc: geo.Pt(x, y)})
-		case "task":
-			x, _ := strconv.ParseFloat(rec[1], 64)
-			y, _ := strconv.ParseFloat(rec[2], 64)
-			e, _ := strconv.ParseFloat(rec[3], 64)
-			rw, _ := strconv.ParseFloat(rec[4], 64)
-			in.Tasks = append(in.Tasks, model.Task{
-				ID: model.TaskID(len(in.Tasks)), Center: model.NoCenter,
-				Loc: geo.Pt(x, y), Expiry: e, Reward: rw,
-			})
-		case "worker":
-			x, _ := strconv.ParseFloat(rec[1], 64)
-			y, _ := strconv.ParseFloat(rec[2], 64)
-			mt, _ := strconv.Atoi(rec[5])
-			in.Workers = append(in.Workers, model.Worker{
-				ID: model.WorkerID(len(in.Workers)), Home: model.NoCenter,
-				Loc: geo.Pt(x, y), MaxT: mt,
-			})
-		default:
-			return nil, fmt.Errorf("workload: csv row %d has unknown kind %q", i, rec[0])
-		}
-	}
-	return in, nil
-}
-
-func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

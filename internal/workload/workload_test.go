@@ -184,33 +184,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	assertSameInstance(t, in, got)
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	p := Defaults(SYN)
-	p.NumTasks, p.NumWorkers, p.NumCenters = 25, 8, 3
-	in, err := Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameInstance(t, in, got)
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("kind,x,y,expiry,reward,maxT,speed\nalien,1,2,3,4,5,6\n")); err == nil {
-		t.Error("unknown kind must error")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("bad csv\"")); err == nil {
-		t.Error("malformed csv must error")
-	}
-}
-
 func TestReadJSONError(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString("{nope")); err == nil {
 		t.Error("malformed json must error")
