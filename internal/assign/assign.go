@@ -53,6 +53,13 @@ type Stats struct {
 	// RouteExtensions counts accepted task placements: tasks appended to a
 	// route for Sequential, feasible VTDS extensions for Optimal.
 	RouteExtensions int
+	// RowHits counts nearest-task queries answered by walking a precomputed
+	// (d², ID)-ordered row (rows.go), and GridFallbacks those answered by
+	// index.Grid.Nearest: task-origin queries of the one-shot Sequential
+	// runs, which build no task rows, and queries whose row had no live
+	// entry left. The linear-scan pool counts neither.
+	RowHits       int
+	GridFallbacks int
 }
 
 // Pipeline-wide work counters, aggregated once per assignment call from the
@@ -66,6 +73,10 @@ var (
 		"task candidates rejected for missing their deadline")
 	mRouteExt = obs.Default.Counter("imtao_assign_route_extensions_total",
 		"accepted task placements (route extensions)")
+	mRowHits = obs.Default.Counter("imtao_assign_nearest_row_hits_total",
+		"nearest-task queries answered from a precomputed (d², ID)-ordered row")
+	mGridFallbacks = obs.Default.Counter("imtao_assign_nearest_grid_fallbacks_total",
+		"nearest-task queries answered by the grid index (no row, or its row ran out)")
 )
 
 func recordStats(s Stats) {
@@ -73,6 +84,8 @@ func recordStats(s Stats) {
 	mTasksScanned.Add(int64(s.TasksScanned))
 	mDeadlineRej.Add(int64(s.DeadlineRejections))
 	mRouteExt.Add(int64(s.RouteExtensions))
+	mRowHits.Add(int64(s.RowHits))
+	mGridFallbacks.Add(int64(s.GridFallbacks))
 }
 
 // AssignedCount returns the number of tasks assigned in the result.
@@ -179,7 +192,7 @@ func SequentialOpt(in *model.Instance, c *model.Center, workers []model.WorkerID
 	if opt.LinearScan {
 		pool = newLinearPool(in, tasks)
 	} else {
-		pool = newGridPool(in, tasks)
+		pool = newGridPool(in, c, tasks)
 	}
 
 	cref := in.CenterRef(c.ID)
@@ -224,22 +237,29 @@ func serveWorker(in *model.Instance, c *model.Center, cref model.NodeRef, wid mo
 	}
 	// Algorithm 2 lines 7–8: travel to the center first (Eq. 1).
 	t := in.TravelTimeRef(w.Loc, w.Ref, c.Loc, cref)
-	extendServe(in, &route, t, c.Loc, cref, int(w.MaxT), pool, stats, scan)
+	extendServe(in, &route, t, fromCenter, c.Loc, cref, int(w.MaxT), pool, stats, scan)
 	return route
 }
 
 // extendServe runs Algorithm 2's inner greedy loop (lines 9–18) from an
 // explicit resume state: the route so far, the time accumulator t and the
-// worker's current position. serveWorker starts it at the center; the trial
+// worker's current position — the task it stands on (from, or fromCenter)
+// and that task's location. serveWorker starts it at the center; the trial
 // engine (trial.go) resumes it at the end of a preserved baseline route to
 // check whether the trial pool extends the sequence.
-func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Point, curRef model.NodeRef, maxT int, pool taskPool, stats *Stats, scan ScanObserver) {
+func extendServe(in *model.Instance, route *model.Route, t float64, from model.TaskID, cur geo.Point, curRef model.NodeRef, maxT int, pool taskPool, stats *Stats, scan ScanObserver) {
 	th := in.HotTasks()
 	for len(route.Tasks) < maxT && pool.len() > 0 {
 		// Line 10: nearest unassigned task to the worker's position.
-		sid, ok := pool.nearest(cur)
+		sid, ok, via := pool.nearest(cur, from)
 		if !ok {
 			break
+		}
+		switch via {
+		case byRow:
+			stats.RowHits++
+		case byGrid:
+			stats.GridFallbacks++
 		}
 		stats.TasksScanned++
 		task := &th[sid]
@@ -258,22 +278,48 @@ func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Poin
 		route.Tasks = append(route.Tasks, sid)
 		stats.RouteExtensions++
 		t = arrive
-		cur, curRef = task.Loc, task.Ref
+		from, cur, curRef = sid, task.Loc, task.Ref
 	}
 }
 
 const timeEps = 1e-9
 
 // taskPool abstracts the unassigned-task set with nearest queries and
-// removal, so the index choice can be ablated.
+// removal, so the index choice can be ablated. nearest's from names the
+// query origin: fromCenter, or the task located at q (already consumed);
+// via says which structure answered.
 type taskPool interface {
-	nearest(q geo.Point) (model.TaskID, bool)
+	nearest(q geo.Point, from model.TaskID) (id model.TaskID, ok bool, via answer)
 	remove(model.TaskID)
 	len() int
 	remaining() []model.TaskID
 }
 
-type gridPool struct{ g *index.Grid }
+// answer names the structure that answered a nearest query.
+type answer uint8
+
+const (
+	byScan answer = iota // the linear-scan pool
+	byRow                // a center or task row (rows.go)
+	byGrid               // index.Grid.Nearest
+)
+
+// gridPool is the grid-indexed task pool, answering nearest queries from
+// the rows of rows.go where it can and from the grid otherwise.
+type gridPool struct {
+	g *index.Grid
+	// crow is the center row of the pool's start set; every entry before
+	// cur is gone from the grid. That holds only while the pool shrinks, so
+	// a rebuild and every mark restart the cursor at 0 (a trial re-grows
+	// the pool only by Rewind, and marks before its next query).
+	crow []rowEnt
+	cur  int
+	// rows holds task rows covering the start set, or is nil (phase 1).
+	rows *nearTable
+	// buf backs crow for the one-shot Sequential pools; trial runners
+	// point crow at their base's row instead.
+	buf []rowEnt
+}
 
 // gridFree recycles gridPool instances (and their Grid backing arrays)
 // across assignment calls. Phase 2 runs one full assignment per candidate
@@ -282,23 +328,58 @@ type gridPool struct{ g *index.Grid }
 // trial evaluation.
 var gridFree = sync.Pool{New: func() any { return &gridPool{g: &index.Grid{}} }}
 
-func newGridPool(in *model.Instance, tasks []model.TaskID) *gridPool {
+func newGridPool(in *model.Instance, c *model.Center, tasks []model.TaskID) *gridPool {
 	p := gridFree.Get().(*gridPool)
 	p.g.Reset(in.Bounds, max(len(tasks), 1), 4)
 	th := in.HotTasks()
 	for _, id := range tasks {
 		p.g.Insert(index.Item{ID: int(id), Point: th[id].Loc})
 	}
+	p.buf = sortRow(appendRow(p.buf[:0], th, c.Loc, tasks))
+	p.crow, p.cur, p.rows = p.buf, 0, nil
 	return p
 }
 
 // release returns the pool's scratch to the free list. The caller must not
 // touch the gridPool afterwards.
-func (p *gridPool) release() { gridFree.Put(p) }
+func (p *gridPool) release() {
+	p.crow, p.rows = nil, nil
+	gridFree.Put(p)
+}
 
-func (p *gridPool) nearest(q geo.Point) (model.TaskID, bool) {
+// mark starts journaling the pool for a trial. From Mark to Rewind the
+// pool only shrinks, so the center-row cursor restarts here and then only
+// moves forward.
+func (p *gridPool) mark() {
+	p.g.Mark()
+	p.cur = 0
+}
+
+// nearest answers a center query from the center row and a task query from
+// the origin's task row, falling back to Grid.Nearest when there is no row
+// or the row has no live entry. Both rows hold a superset of the live set's
+// nearest candidates in (d², ID) order, so the first live entry is exactly
+// Grid.Nearest's answer. A task row lists its task's neighbours, not the
+// task itself, so it applies only once the origin is consumed.
+func (p *gridPool) nearest(q geo.Point, from model.TaskID) (model.TaskID, bool, answer) {
+	if from == fromCenter {
+		for ; p.cur < len(p.crow); p.cur++ {
+			if id := p.crow[p.cur].id; p.g.Contains(int(id)) {
+				return id, true, byRow
+			}
+		}
+	} else if p.rows != nil && from >= 0 && !p.g.Contains(int(from)) {
+		for _, id := range p.rows.row(from) {
+			if id < 0 {
+				break
+			}
+			if p.g.Contains(int(id)) {
+				return id, true, byRow
+			}
+		}
+	}
 	it, ok := p.g.Nearest(q)
-	return model.TaskID(it.ID), ok
+	return model.TaskID(it.ID), ok, byGrid
 }
 func (p *gridPool) remove(id model.TaskID) { p.g.Remove(int(id)) }
 func (p *gridPool) len() int               { return p.g.Len() }
@@ -331,9 +412,9 @@ func newLinearPool(in *model.Instance, tasks []model.TaskID) *linearPool {
 	return p
 }
 
-func (p *linearPool) nearest(q geo.Point) (model.TaskID, bool) {
+func (p *linearPool) nearest(q geo.Point, _ model.TaskID) (model.TaskID, bool, answer) {
 	it, ok := index.LinearNearest(p.items, q, nil)
-	return model.TaskID(it.ID), ok
+	return model.TaskID(it.ID), ok, byScan
 }
 
 func (p *linearPool) remove(id model.TaskID) {

@@ -62,7 +62,7 @@ func (s *SequentialScratch) Run(in *model.Instance, c *model.Center,
 		return cmp.Compare(a, b)
 	})
 
-	pool := newGridPool(in, tasks)
+	pool := newGridPool(in, c, tasks)
 	s.tasks.Reset()
 
 	routes := s.routes[:0]

@@ -139,6 +139,14 @@ type TrialBase struct {
 	// into one cell.
 	poolBounds geo.Rect
 	poolSize   int
+	// crow is S_0's center row (rows.go), rebuilt on every Reset; every
+	// runner walks it with its own cursor. tab holds the task rows, taken
+	// by the first Reset (getTable) and returned by Release; rowsOK says
+	// whether they cover S_0, which holds whenever S_0 is a subset of
+	// c.Tasks and c's task locations are finite.
+	crow   []rowEnt
+	tab    *nearTable
+	rowsOK bool
 }
 
 // NewTrialBase snapshots the baseline assignment (workers, their routes, and
@@ -241,6 +249,18 @@ func (b *TrialBase) Reset(in *model.Instance, c *model.Center, workers []model.W
 		}
 	}
 	b.poolBounds = geo.Rect{Min: lo, Max: hi}
+	if b.tab == nil {
+		b.tab = getTable()
+	}
+	if b.tab.in != in {
+		b.tab.bind(in)
+	}
+	b.crow = appendRow(slices.Grow(b.crow[:0], max(b.poolSize, b.tab.maxTasks)), b.th, c.Loc, leftTasks)
+	for ri := range routes {
+		b.crow = appendRow(b.crow, b.th, c.Loc, routes[ri].Tasks)
+	}
+	b.rowsOK = b.tab.covers(c, b.crow)
+	b.crow = sortRow(b.crow)
 	b.stepT = b.stepT[:0]
 	b.stepOff = append(b.stepOff[:0], 0)
 	for ri := range routes {
@@ -258,6 +278,17 @@ func (b *TrialBase) Reset(in *model.Instance, c *model.Center, workers []model.W
 		b.stepOff = append(b.stepOff, int32(len(b.stepT)))
 	}
 	return true
+}
+
+// Release returns the base's pooled row table; every runner bound to the
+// base must Rebind before its next Trial. The base itself stays usable: a
+// later Reset takes a table again. Owners of a base call it where they
+// release the base's runners.
+func (b *TrialBase) Release() {
+	if b.tab != nil {
+		putTable(b.tab)
+		b.tab, b.rowsOK = nil, false
+	}
 }
 
 // stepsOf returns route ri's resume accumulators (see stepT).
@@ -407,6 +438,10 @@ func (r *TrialRunner) Rebind(b *TrialBase) {
 	r.tids.Reset()
 	r.wids.Reset()
 	r.rts.Reset()
+	r.pool.crow, r.pool.cur, r.pool.rows = b.crow, 0, nil
+	if b.rowsOK {
+		r.pool.rows = b.tab
+	}
 	g := r.pool.g
 	g.Reset(b.poolBounds, max(b.poolSize, 1), 4)
 	for _, id := range b.leftTasks {
@@ -457,7 +492,7 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	})
 
 	g := r.pool.g
-	g.Mark()
+	r.pool.mark()
 	// Advance the pool from start state S_0 to the full run's state at
 	// position k by consuming the prefix exactly as the baseline did: the
 	// prefix 0..k-1 is bit-identical to the baseline, so S_k = S_0 minus
@@ -551,17 +586,17 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 			for _, tid := range rt.Tasks[:d] {
 				g.Remove(int(tid))
 			}
-			cur, curRef := b.c.Loc, b.cref
+			from, cur, curRef := fromCenter, b.c.Loc, b.cref
 			if d > 0 {
-				prev := rt.Tasks[d-1]
-				cur, curRef = b.th[prev].Loc, b.th[prev].Ref
+				from = rt.Tasks[d-1]
+				cur, curRef = b.th[from].Loc, b.th[from].Ref
 			}
 			// min(wcap, d + pool.len()) bounds the resumed route's final
 			// length, so the arena reservation never overflows.
 			rt2 := model.Route{Worker: wid, Center: b.c.ID,
 				Tasks: r.tids.Grab(min(wcap, d+r.pool.len()))}
 			rt2.Tasks = append(rt2.Tasks, rt.Tasks[:d]...)
-			extendServe(b.in, &rt2, b.stepsOf(ri)[d], cur, curRef, wcap, r.pool, &res.Stats, nil)
+			extendServe(b.in, &rt2, b.stepsOf(ri)[d], from, cur, curRef, wcap, r.pool, &res.Stats, nil)
 			if len(rt2.Tasks) == 0 {
 				res.LeftWorkers = append(res.LeftWorkers, wid)
 			} else {
@@ -583,7 +618,7 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 			trialRt := model.Route{Worker: wid, Center: b.c.ID,
 				Tasks: r.tids.Grab(min(wcap, len(rt.Tasks)+r.pool.len()))}
 			trialRt.Tasks = append(trialRt.Tasks, rt.Tasks...)
-			extendServe(b.in, &trialRt, b.stepsOf(ri)[len(rt.Tasks)], b.th[last].Loc,
+			extendServe(b.in, &trialRt, b.stepsOf(ri)[len(rt.Tasks)], last, b.th[last].Loc,
 				b.th[last].Ref, wcap, r.pool, &res.Stats, nil)
 			if len(trialRt.Tasks) > len(rt.Tasks) {
 				res.Routes = append(res.Routes, trialRt)

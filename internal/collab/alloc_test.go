@@ -138,6 +138,66 @@ func TestTrialRunnerRebindTrialZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTrialFirstRecipientZeroAlloc meters the trial cycle on centers the
+// trial base has not been reset on since it took its row table, so every
+// metered Reset fills that center's nearest-task rows before the trial
+// runs. A game meets this cycle the first time each center is a
+// recipient. (Game.Step itself still allocates on such an iteration: the
+// center's spare promotion buffer gets its first contents.) Warm-up resets
+// the base on every center once, so the base, the runner and the table
+// reach high water, then Release hands the table back; the next Reset
+// takes it again and binds it afresh, which forgets every filled center.
+func TestTrialFirstRecipientZeroAlloc(t *testing.T) {
+	in := seededInstance(9, 12, 240, 2400)
+	in.PrepareMetric()
+	n := len(in.Centers)
+	baselines := make([]assign.Result, n)
+	cands := make([]model.WorkerID, n)
+	for ci := range in.Centers {
+		c := in.Center(model.CenterID(ci))
+		baselines[ci] = assign.Sequential(in, c, c.Workers, c.Tasks)
+		// A candidate homed at the next center, so it is not in c's set.
+		cands[ci] = in.Centers[(ci+1)%n].Workers[0]
+	}
+	var base assign.TrialBase
+	var runner *assign.TrialRunner
+	cycle := func(ci int) assign.Result {
+		c := in.Center(model.CenterID(ci))
+		if !base.Reset(in, c, c.Workers, baselines[ci].Routes, baselines[ci].LeftTasks) {
+			t.Fatalf("center %d: baseline does not line up with the serve order", ci)
+		}
+		if runner == nil {
+			runner = base.NewRunner()
+		} else {
+			runner.Rebind(&base)
+		}
+		return runner.Trial(cands[ci])
+	}
+	for round := 0; round < 2; round++ {
+		for ci := range n {
+			cycle(ci)
+		}
+	}
+	base.Release()
+	cycle(0)
+	ci, rowHits := 0, 0
+	allocs := testing.AllocsPerRun(n-2, func() {
+		ci++
+		rowHits += cycle(ci).Stats.RowHits
+	})
+	runner.Release()
+	base.Release()
+	if ci != n-1 {
+		t.Fatalf("metered %d centers, want %d", ci, n-1)
+	}
+	if rowHits == 0 {
+		t.Fatal("no metered trial answered a query from a row")
+	}
+	if allocs != 0 {
+		t.Fatalf("first-recipient trial cycle allocates: %.2f allocs (want 0)", allocs)
+	}
+}
+
 // TestGameStepProvenanceBoundedAlloc pins the enabled-path recording cost:
 // with a decision ledger attached, a warmed steady-state iteration may only
 // touch the heap for the ledger's own amortized arena growth — a small

@@ -923,6 +923,7 @@ func (g *Game) Finish() Result {
 			}
 		}
 		g.runners = nil
+		g.base.Release()
 		sol := model.NewSolution(g.in)
 		for ci := range g.states {
 			sol.PerCenter[ci].Routes = cloneRoutes(g.states[ci].routes)

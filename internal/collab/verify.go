@@ -68,42 +68,55 @@ func VerifyEquilibrium(in *model.Instance, sol *model.Solution, assigner Assigne
 		}
 		workers = append(workers, borrowedBy[model.CenterID(ci)]...)
 
-		// Sequential-only accelerations: the admission slack prunes
-		// candidates that cannot take any first task, and the remaining
-		// deviations resume from one baseline run instead of re-running the
-		// whole worker set each (both exact — DESIGN.md §11).
-		slack := 0.0
-		var runner *assign.TrialRunner
-		if seq {
-			slack = assign.AdmissionSlack(in, center, center.Tasks)
+		if err := verifyCenter(in, center, rho, workers, pool, assigner, seq); err != nil {
+			return err
 		}
+	}
+	return nil
+}
 
-		for _, cand := range pool {
-			if in.Worker(cand).Home == model.CenterID(ci) {
-				continue
+// verifyCenter checks one center of VerifyEquilibrium: no candidate in pool
+// (homed elsewhere) raises its ratio above rho when added to workers. The
+// center's trial base and runner are released before it returns, so the
+// verifier holds one row table and one trial grid at a time.
+func verifyCenter(in *model.Instance, center *model.Center, rho float64,
+	workers, pool []model.WorkerID, assigner Assigner, seq bool) error {
+	// Sequential-only accelerations: the admission slack prunes
+	// candidates that cannot take any first task, and the remaining
+	// deviations resume from one baseline run instead of re-running the
+	// whole worker set each (both exact — DESIGN.md §11).
+	slack := 0.0
+	var runner *assign.TrialRunner
+	if seq {
+		slack = assign.AdmissionSlack(in, center, center.Tasks)
+	}
+
+	for _, cand := range pool {
+		if in.Worker(cand).Home == center.ID {
+			continue
+		}
+		if seq && !assign.WorkerAdmissible(in, center, cand, slack) {
+			continue
+		}
+		if seq && runner == nil {
+			baseline := assigner(in, center, workers, center.Tasks)
+			if base, ok := assign.NewTrialBase(in, center, workers, baseline.Routes, baseline.LeftTasks); ok {
+				runner = base.NewRunner()
+				defer runner.Release()
+				defer base.Release()
 			}
-			if seq && !assign.WorkerAdmissible(in, center, cand, slack) {
-				continue
-			}
-			if seq && runner == nil {
-				baseline := assigner(in, center, workers, center.Tasks)
-				if base, ok := assign.NewTrialBase(in, center, workers, baseline.Routes, baseline.LeftTasks); ok {
-					runner = base.NewRunner()
-					defer runner.Release()
-				}
-			}
-			var trial assign.Result
-			if runner != nil {
-				trial = runner.Trial(cand)
-			} else {
-				trial = assigner(in, center, append(append([]model.WorkerID(nil), workers...), cand), center.Tasks)
-			}
-			newRho := metrics.Ratio(trial.AssignedCount(), len(center.Tasks))
-			if newRho > rho+rhoEps {
-				return fmt.Errorf(
-					"collab: center %d can improve ρ %.4f → %.4f by borrowing worker %d — not an equilibrium",
-					ci, rho, newRho, cand)
-			}
+		}
+		var trial assign.Result
+		if runner != nil {
+			trial = runner.Trial(cand)
+		} else {
+			trial = assigner(in, center, append(append([]model.WorkerID(nil), workers...), cand), center.Tasks)
+		}
+		newRho := metrics.Ratio(trial.AssignedCount(), len(center.Tasks))
+		if newRho > rho+rhoEps {
+			return fmt.Errorf(
+				"collab: center %d can improve ρ %.4f → %.4f by borrowing worker %d — not an equilibrium",
+				center.ID, rho, newRho, cand)
 		}
 	}
 	return nil
